@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench experiments obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+.PHONY: build test race vet check bench experiments obs-smoke corpus-smoke engine-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -47,15 +47,6 @@ engine-smoke:
 	$(GO) run ./cmd/experiments -engines -j 8 \
 		-fusion-out /tmp/binpart-engines.json >/dev/null
 
-# The distributed-cache path end to end over real processes: one shard
-# server plus two sharded workers over localhost, cold cache, then the
-# launcher's final sweep served from the shared cache. Exits nonzero if
-# the distributed T1 table differs by a byte from a serial run, if the
-# final sweep saw no remote hits, or if the server dies without printing
-# its per-tier counters. Artifacts land in /tmp/binpart-distcache.
-distcache-smoke:
-	sh scripts/distcache-smoke.sh
-
 # The partitioning daemon end to end over a real process: priced
 # partition + streamed sweep over HTTP, ops /metrics scrape, sustained
 # load above 1000 req/s on the warm Analysis cache, then SIGTERM under
@@ -65,7 +56,7 @@ distcache-smoke:
 bpartd-smoke:
 	sh scripts/bpartd-smoke.sh
 
-check: vet build test race obs-smoke corpus-smoke engine-smoke distcache-smoke bpartd-smoke
+check: vet build test race obs-smoke corpus-smoke engine-smoke bpartd-smoke
 
 # Runs every benchmark and distills the results (per-stage ns/op plus the
 # T1 headline custom metrics) into BENCH.json via cmd/benchjson. The text

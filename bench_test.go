@@ -16,7 +16,6 @@ import (
 
 	"binpart/internal/bench"
 	"binpart/internal/binimg"
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/decompile"
 	"binpart/internal/dopt"
@@ -405,67 +404,6 @@ func BenchmarkExecutorTable1Cached(b *testing.B) {
 		if _, err := r.Table1(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Remote cache tier: one request/response round trip on the wire
-// protocol against an in-process server over loopback. These gate the
-// protocol's per-request overhead (framing, checksum verify, conn
-// pooling) the same way the Stage* benchmarks gate the pipeline stages.
-
-func remoteTier(b *testing.B) *cache.RemoteTier {
-	b.Helper()
-	srv, err := cache.ListenAndServe("127.0.0.1:0", cache.ServerConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-	rt, err := cache.NewRemoteTier([]string{srv.Addr()}, cache.RemoteConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rt.Close)
-	return rt
-}
-
-// BenchmarkRemoteTierGet measures a loopback GET hit of a 4 KiB sealed
-// blob, checksum verification included.
-func BenchmarkRemoteTierGet(b *testing.B) {
-	rt := remoteTier(b)
-	k := cache.NewHasher("bench-remote").String("get").Sum()
-	blob := cache.Seal(make([]byte, 4096))
-	if err := rt.Put(k, blob); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, ok := rt.Get(k)
-		if !ok || len(got) != len(blob) {
-			b.Fatalf("get: ok=%v len=%d", ok, len(got))
-		}
-	}
-	if rt.Errs() != 0 {
-		b.Fatalf("transport errors: %d", rt.Errs())
-	}
-}
-
-// BenchmarkRemoteTierPut measures a loopback PUT of a 4 KiB sealed blob
-// (the server verifies the checksum before storing).
-func BenchmarkRemoteTierPut(b *testing.B) {
-	rt := remoteTier(b)
-	k := cache.NewHasher("bench-remote").String("put").Sum()
-	blob := cache.Seal(make([]byte, 4096))
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rt.Put(k, blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if rt.Errs() != 0 {
-		b.Fatalf("transport errors: %d", rt.Errs())
 	}
 }
 

@@ -11,8 +11,8 @@
 //	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json -baseline old.json
 //
 // With -baseline, the new results are diffed against a previous
-// BENCH.json and the run fails (exit 1) if any Stage* or RemoteTier*
-// benchmark regressed by more than 10%: allocs/op is gated
+// BENCH.json and the run fails (exit 1) if any Stage* benchmark
+// regressed by more than 10%: allocs/op is gated
 // unconditionally (it is exact and machine-independent), ns/op only when
 // the baseline was recorded on the same CPU. This is the perf ratchet
 // `make bench` and CI run.
@@ -57,7 +57,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("o", "BENCH.json", "output path for the JSON report")
-	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage*/RemoteTier* regressions fail the run")
+	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage* regressions fail the run")
 	flag.Parse()
 
 	rep := Report{Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
@@ -141,11 +141,11 @@ func readReport(path string) (Report, error) {
 }
 
 // regressLimit is the fractional slowdown tolerated before a gated
-// (Stage*/RemoteTier*) benchmark fails the baseline gate.
+// (Stage*) benchmark fails the baseline gate.
 const regressLimit = 0.10
 
 // diffReports prints a per-benchmark comparison and returns the gate
-// violations: Stage* and RemoteTier* benchmarks more than regressLimit
+// violations: Stage* benchmarks more than regressLimit
 // worse than the baseline on allocs/op (always) or ns/op (only when both
 // reports were recorded on the same CPU, since wall-clock does not
 // transfer across machines).
@@ -164,7 +164,7 @@ func diffReports(w io.Writer, old, cur Report) []string {
 		if !ok {
 			continue
 		}
-		gated := strings.HasPrefix(b.Name, "Stage") || strings.HasPrefix(b.Name, "RemoteTier")
+		gated := strings.HasPrefix(b.Name, "Stage")
 		for _, unit := range []string{"ns/op", "allocs/op"} {
 			nv, haveNew := b.Metrics[unit]
 			ov, haveOld := ob.Metrics[unit]

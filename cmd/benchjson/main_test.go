@@ -51,6 +51,20 @@ func TestDiffReportsIgnoresUngatedAndTolerated(t *testing.T) {
 	}
 }
 
+// TestDiffReportsGatesOnlyStagePrefix pins the gate's scope: only
+// Stage* benchmarks are gated. The wire-protocol round-trip benchmarks
+// that shared the gate went away with the network cache tier, so a
+// regression in any other benchmark — here a cache micro-benchmark —
+// reports but never fails the run.
+func TestDiffReportsGatesOnlyStagePrefix(t *testing.T) {
+	old := report("cpuA", bench("StageLift", 1000, 100), bench("CacheGet", 1000, 100))
+	cur := report("cpuA", bench("StageLift", 1200, 100), bench("CacheGet", 9000, 900))
+	regs := diffReports(io.Discard, old, cur)
+	if len(regs) != 1 || !strings.Contains(regs[0], "StageLift ns/op") {
+		t.Fatalf("want exactly the StageLift ns/op regression, got %v", regs)
+	}
+}
+
 // TestDiffReportsZeroBaseline is the regression test for the zero-baseline
 // hole: a Stage* benchmark that reached 0 allocs/op and then regressed to
 // N used to slip past the gate because a relative delta over zero is

@@ -1,6 +1,6 @@
 // Command bpartd serves the partitioner: a long-running HTTP daemon in
-// front of the analyze-once/evaluate-in-microseconds flow and its tiered
-// stage caches.
+// front of the analyze-once/evaluate-in-microseconds flow and its
+// memory + disk stage caches.
 //
 //	POST /v1/partition  {"bench":"crc","opt":1,...}   -> priced partition report as JSON
 //	POST /v1/sweep      {"bench":"crc","sweep":"devices",...} -> per-point results as
@@ -14,9 +14,11 @@
 // with Retry-After), a bounded execution pool (-inflight), per-tenant
 // token-bucket rate limits keyed on the X-Tenant header (-tenant-rps),
 // and a per-request deadline (-deadline). SIGINT/SIGTERM drains
-// in-flight requests (-drain budget), flushes the -trace stream and
-// -manifest, verifies the span/cache reconciliation invariant, closes
-// the cache tiers, and exits 0 only when all of that succeeded.
+// in-flight requests (-drain budget), then closes the run session
+// (internal/runsess): flushes the -trace stream, verifies the span/cache
+// reconciliation invariant, writes the -manifest, stops the ops
+// listener, and removes the addr files. It exits 0 only when all of
+// that succeeded.
 //
 // Ops surface (-ops-addr): /healthz, /readyz (503 while draining),
 // /metrics (the shared binpart exposition plus bpartd_* serving
@@ -39,15 +41,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
-	"binpart/internal/obs"
 	"binpart/internal/platform"
+	"binpart/internal/runsess"
 	"binpart/internal/sim"
 )
 
@@ -68,7 +68,6 @@ func main() {
 	engine := flag.String("engine", "fused", "default simulator engine (request \"engine\" overrides)")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M)")
-	remoteCache := flag.String("remote-cache", "", "comma-separated cache-server addresses to share the stage cache with")
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL (flushed on shutdown)")
 	manifestPath := flag.String("manifest", "", "write a run manifest to this JSON file on shutdown")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr on shutdown")
@@ -128,79 +127,42 @@ func main() {
 	}
 	opts.Sim.Engine = eng
 
-	caches := core.NewCaches()
-	if *cacheDir != "" {
-		var maxBytes int64
-		if *cacheDirMax != "" {
-			if maxBytes, err = cache.ParseByteSize(*cacheDirMax); err != nil {
-				fatal(err)
-			}
-		}
-		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			fatal(err)
-		}
-	}
-
-	rec := obs.NewRecorder()
-	rec.SetTrace(obs.NewTraceID(), "bpartd")
-
-	var remote *cache.RemoteTier
-	if *remoteCache != "" {
-		rt, err := cache.NewRemoteTier(strings.Split(*remoteCache, ","), cache.RemoteConfig{TraceID: rec.TraceID()})
-		if err == nil {
-			err = rt.Ping()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		// The daemon never emits VHDL, so the Analysis stage shares too.
-		caches.WithRemote(rt, true)
-		remote = rt
-	}
-
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
-	}
-
 	d := newDaemon(daemonConfig{
 		Opts:        opts,
-		Caches:      caches,
-		Rec:         rec,
 		Queue:       *queue,
 		Inflight:    *inflight,
 		TenantRPS:   *tenantRPS,
 		TenantBurst: *tenantBurst,
 		Deadline:    *deadline,
 	})
+	// The recorder always exists: every shutdown reconciles the serving
+	// spans against the cache counters.
+	sess, err := runsess.Open(runsess.Config{
+		Tool:        "bpartd",
+		Args:        os.Args[1:],
+		Workers:     *inflight,
+		CacheDir:    *cacheDir,
+		CacheDirMax: *cacheDirMax,
+		Stats:       *stats,
+		Trace:       *trace,
+		Manifest:    *manifestPath,
+		DebugAddr:   *opsAddr,
+		Metrics:     d.WriteMetrics,
+		Record:      true,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	// Before the API listener opens, so no handler sees the daemon
+	// without them; the ops /metrics reads only the daemon's counters.
+	d.caches, d.rec = sess.Caches, sess.Rec
 
-	var dbg *obs.DebugServer
-	if *opsAddr != "" {
-		dbg, err = obs.ServeDebug(*opsAddr, obs.DebugSources{
-			Rec:           rec,
-			Caches:        caches.StatsMap,
-			TierLatencies: caches.TierLatencyMap,
-			Peers: func() []cache.PeerMetrics {
-				if remote == nil {
-					return nil
-				}
-				return remote.PeerMetrics()
-			},
-			Extra: d.WriteMetrics,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		dbg.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
-		dbg.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
-		fmt.Fprintf(os.Stderr, "bpartd: ops on http://%s/metrics\n", dbg.Addr())
+	if sess.Debug != nil {
+		sess.Debug.Handle("/healthz", http.HandlerFunc(d.handleHealthz))
+		sess.Debug.Handle("/readyz", http.HandlerFunc(d.handleReadyz))
+		fmt.Fprintf(os.Stderr, "bpartd: ops on http://%s/metrics\n", sess.Debug.Addr())
 		if *opsAddrFile != "" {
-			if err := os.WriteFile(*opsAddrFile, []byte(dbg.Addr()), 0o644); err != nil {
+			if err := sess.WriteAddrFile(*opsAddrFile, sess.Debug.Addr()); err != nil {
 				fatal(err)
 			}
 		}
@@ -219,7 +181,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "bpartd: serving on http://%s/v1/partition\n", ln.Addr())
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+		if err := sess.WriteAddrFile(*addrFile, ln.Addr().String()); err != nil {
 			fatal(err)
 		}
 	}
@@ -234,68 +196,23 @@ func main() {
 	}
 
 	// Shutdown order: stop admitting (readyz flips 503), drain in-flight
-	// requests, flush observability, verify the reconciliation invariant,
-	// then close cache tiers — traces and manifests must capture every
-	// span the drained requests recorded.
-	clean := true
+	// requests, then close the session — traces and manifests must
+	// capture every span the drained requests recorded.
 	d.SetDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "bpartd: drain incomplete: %v\n", err)
-		clean = false
-	}
+	drainErr := srv.Shutdown(ctx)
 	cancel()
-
-	if *stats {
-		fmt.Fprint(os.Stderr, rec.Table())
-		fmt.Fprint(os.Stderr, caches.StatsString())
-	}
-	if traceFile != nil {
-		rec.EmitCaches(caches.StatsMap())
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: trace: %v\n", err)
-			clean = false
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: trace: %v\n", err)
-			clean = false
-		}
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "bpartd: drain incomplete: %v\n", drainErr)
 	}
 	// The invariant that makes the trace trustworthy: every span outcome
 	// the drained requests recorded reconciles against the cache
-	// counters. A daemon that drops spans on shutdown fails here.
-	tf := &obs.TraceFile{
-		Trace:  rec.TraceID(),
-		Spans:  rec.Records(),
-		Caches: caches.StatsMap(),
+	// counters. A daemon that drops spans on shutdown fails in Close.
+	closeErr := sess.Close(drainErr != nil)
+	if closeErr != nil {
+		fmt.Fprintf(os.Stderr, "bpartd: %v\n", closeErr)
 	}
-	if err := tf.Reconcile(); err != nil {
-		fmt.Fprintf(os.Stderr, "bpartd: %v\n", err)
-		clean = false
-	}
-	if *manifestPath != "" {
-		m := obs.BuildManifest("bpartd", os.Args[1:], *inflight, rec, caches.StatsMap())
-		m.Interrupted = !clean
-		if err := m.Write(*manifestPath); err != nil {
-			fmt.Fprintf(os.Stderr, "bpartd: manifest: %v\n", err)
-			clean = false
-		}
-	}
-	if remote != nil {
-		remote.Close()
-	}
-	if dbg != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		dbg.Shutdown(ctx) //nolint:errcheck // ops scrapes are best-effort at exit
-		cancel()
-	}
-	if *addrFile != "" {
-		os.Remove(*addrFile)
-	}
-	if *opsAddrFile != "" {
-		os.Remove(*opsAddrFile)
-	}
-	if !clean {
+	if drainErr != nil || closeErr != nil {
 		fmt.Fprintln(os.Stderr, "bpartd: shutdown with errors")
 		os.Exit(1)
 	}

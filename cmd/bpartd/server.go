@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -521,14 +523,33 @@ func (d *daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	d.lat[routeSweep].Record(time.Since(start))
 }
 
+// knownCodes are the response codes the API handlers answer with. Each
+// (route, code) pair is exposed from the first scrape, zero until it
+// happens, so a scraper can take rates from process start.
+var knownCodes = []int{
+	http.StatusOK,
+	http.StatusBadRequest,
+	http.StatusTooManyRequests,
+	http.StatusServiceUnavailable,
+}
+
 // WriteMetrics appends the daemon's serving families to the shared
-// /metrics exposition (wired in as obs.DebugSources.Extra).
+// /metrics exposition (wired in as obs.DebugSources.Extra). Every
+// family is present from process start.
 func (d *daemon) WriteMetrics(w io.Writer) {
 	p := hist.NewProm(w)
 	for route, name := range routeNames {
-		for code, n := range d.codes[route].snapshot() {
+		counts := d.codes[route].snapshot()
+		codes := append([]int(nil), knownCodes...)
+		for code := range counts {
+			if !slices.Contains(codes, code) {
+				codes = append(codes, code)
+			}
+		}
+		slices.Sort(codes)
+		for _, code := range codes {
 			p.Counter("bpartd_requests_total",
-				hist.Labels(hist.Label("route", name), hist.Label("code", fmt.Sprint(code))), float64(n))
+				hist.Labels(hist.Label("route", name), hist.Label("code", strconv.Itoa(code))), float64(counts[code]))
 		}
 	}
 	p.Counter("bpartd_rejected_total", hist.Label("reason", "queue"), float64(d.rejectQueue.Load()))
@@ -538,6 +559,6 @@ func (d *daemon) WriteMetrics(w io.Writer) {
 	p.Gauge("bpartd_queue_depth", "", float64(len(d.queue)))
 	p.Gauge("bpartd_inflight", "", float64(cap(d.slots)-len(d.slots)))
 	for route, name := range routeNames {
-		p.Summary("bpartd_request_latency_seconds", hist.Label("route", name), d.lat[route].Snapshot())
+		p.SummaryFromStart("bpartd_request_latency_seconds", hist.Label("route", name), d.lat[route].Snapshot())
 	}
 }

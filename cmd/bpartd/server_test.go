@@ -37,7 +37,6 @@ func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
 	}
 	if cfg.Rec == nil {
 		cfg.Rec = obs.NewRecorder()
-		cfg.Rec.SetTrace(obs.NewTraceID(), "test")
 	}
 	if cfg.Queue == 0 {
 		cfg.Queue = 64
@@ -48,20 +47,27 @@ func testDaemon(t *testing.T, cfg daemonConfig) *daemon {
 	return newDaemon(cfg)
 }
 
+// postJSON posts req and returns the response with its body read. A
+// transport failure is reported with t.Error — legal from the poster
+// goroutines, where t.Fatal is not — and returns a nil response, which
+// callers answer by returning.
 func postJSON(t *testing.T, client *http.Client, url string, req apiRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	out, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	return resp, out
 }
@@ -110,6 +116,9 @@ func TestPartitionMatchesCLI(t *testing.T) {
 			defer wg.Done()
 			name := benches[g%len(benches)]
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: name, Opt: 1})
+			if resp == nil {
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d: %s", name, resp.StatusCode, body)
 				return
@@ -158,6 +167,9 @@ func TestSweepStreamMatchesCLI(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", apiRequest{Bench: "crc", Opt: 1, Sweep: "devices"})
+	if resp == nil {
+		return
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -209,17 +221,17 @@ func TestQueueFullReturns429(t *testing.T) {
 	go func() {
 		defer close(first)
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
-		if resp.StatusCode != http.StatusOK {
+		if resp != nil && resp.StatusCode != http.StatusOK {
 			t.Errorf("pinned request: status %d", resp.StatusCode)
 		}
 	}()
 	<-entered
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
-	if resp.StatusCode != http.StatusTooManyRequests {
+	if resp != nil && resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("queue-full status = %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if resp != nil && resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
 	}
 
@@ -280,8 +292,11 @@ func TestInflightCompletesAcrossShutdown(t *testing.T) {
 	client := &http.Client{Timeout: 60 * time.Second}
 	inflight := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, client, base+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
-		inflight <- resp.StatusCode
+		code := 0
+		if resp, _ := postJSON(t, client, base+"/v1/partition", apiRequest{Bench: "crc", Opt: 1}); resp != nil {
+			code = resp.StatusCode
+		}
+		inflight <- code
 	}()
 	<-entered
 
@@ -323,7 +338,6 @@ func TestInflightCompletesAcrossShutdown(t *testing.T) {
 // every scrape succeeds mid-mutation.
 func TestMetricsScrapeableMidLoad(t *testing.T) {
 	rec := obs.NewRecorder()
-	rec.SetTrace(obs.NewTraceID(), "test")
 	caches := core.NewCaches()
 	d := testDaemon(t, daemonConfig{Rec: rec, Caches: caches})
 	ts := httptest.NewServer(d.Mux())
@@ -352,6 +366,9 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 				default:
 				}
 				resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/partition", apiRequest{Bench: "crc", Opt: 1})
+				if resp == nil {
+					return
+				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("post under load: %d", resp.StatusCode)
 					return
@@ -360,21 +377,27 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 		}()
 	}
 
+	// A failing scrape stops the loop with t.Error rather than t.Fatal,
+	// so the posters are always stopped and joined before the servers
+	// they talk to are torn down.
 	url := "http://" + dbg.Addr() + "/metrics"
 	deadline := time.Now().Add(2 * time.Second)
 	scrapes := 0
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url)
 		if err != nil {
-			t.Fatalf("scrape: %v", err)
+			t.Errorf("scrape: %v", err)
+			break
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("scrape: status %d err %v", resp.StatusCode, err)
+			t.Errorf("scrape: status %d err %v", resp.StatusCode, err)
+			break
 		}
 		if scrapes > 0 && !strings.Contains(string(body), "bpartd_requests_total") {
-			t.Fatalf("scrape missing bpartd families:\n%s", body)
+			t.Errorf("scrape missing bpartd families:\n%s", body)
+			break
 		}
 		scrapes++
 	}
@@ -389,6 +412,37 @@ func TestMetricsScrapeableMidLoad(t *testing.T) {
 	tf := &obs.TraceFile{Trace: rec.TraceID(), Spans: rec.Records(), Caches: caches.StatsMap()}
 	if err := tf.Reconcile(); err != nil {
 		t.Errorf("mid-load reconcile: %v", err)
+	}
+}
+
+// TestMetricsFamiliesFromStart is the determinism fix behind the
+// mid-load scrape test: a daemon that has served nothing yet must
+// already expose every bpartd_* family, with zero-valued series for
+// each known (route, code) pair and reject reason, so a scraper never
+// depends on racing the first request.
+func TestMetricsFamiliesFromStart(t *testing.T) {
+	d := testDaemon(t, daemonConfig{})
+	var b strings.Builder
+	d.WriteMetrics(&b)
+	out := b.String()
+	for _, want := range []string{
+		`bpartd_requests_total{route="partition",code="200"} 0`,
+		`bpartd_requests_total{route="partition",code="429"} 0`,
+		`bpartd_requests_total{route="sweep",code="400"} 0`,
+		`bpartd_requests_total{route="sweep",code="503"} 0`,
+		`bpartd_rejected_total{reason="queue"} 0`,
+		`bpartd_rejected_total{reason="deadline"} 0`,
+		"bpartd_queue_depth 0",
+		"bpartd_inflight 0",
+		`bpartd_request_latency_seconds{route="partition",quantile="0.99"} NaN`,
+		`bpartd_request_latency_seconds_count{route="sweep"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fresh daemon's metrics missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "# TYPE bpartd_requests_total counter"); n != 1 {
+		t.Errorf("bpartd_requests_total typed %d times, want once", n)
 	}
 }
 

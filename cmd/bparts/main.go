@@ -19,15 +19,16 @@
 // full-catalog sweep costs barely more than a single run.
 //
 // Observability: -trace streams per-stage spans as JSONL (a .gz path
-// gzip-compresses; spans are tagged with the run's trace ID, which
-// -remote-cache peers also learn), -stats prints the per-stage and cache
-// tables with p50/p90/p99 latency columns to stderr (-cachestats is the
-// old alias), -manifest writes a run manifest, and -debug-addr serves
-// expvar + net/pprof + Prometheus-text /metrics. All of it is off — and
-// alloc-free — by default.
+// gzip-compresses), -stats prints the per-stage and cache tables with
+// p50/p90/p99 latency columns to stderr (-cachestats is the old alias),
+// -manifest writes a run manifest, and -debug-addr serves expvar +
+// net/pprof + Prometheus-text /metrics. All of it is off — and
+// alloc-free — by default. The caches and every observability surface
+// open and close through internal/runsess.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,11 +39,11 @@ import (
 	"sync"
 
 	"binpart/internal/binimg"
-	"binpart/internal/cache"
 	"binpart/internal/core"
 	"binpart/internal/fpga"
 	"binpart/internal/obs"
 	"binpart/internal/platform"
+	"binpart/internal/runsess"
 	"binpart/internal/sim"
 	"binpart/internal/vhdl"
 )
@@ -59,7 +60,6 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker pool size when partitioning several binaries")
 	cacheDir := flag.String("cachedir", "", "directory for the on-disk stage cache (empty: memory only)")
 	cacheDirMax := flag.String("cachedir-max", "", "byte budget for -cachedir (e.g. 256M); oldest-mtime blobs are evicted past it (empty: unbounded)")
-	remoteCache := flag.String("remote-cache", "", "comma-separated cache-server addresses to share the stage cache with")
 	stats := flag.Bool("stats", false, "print per-stage span and cache counters to stderr")
 	cacheStats := flag.Bool("cachestats", false, "alias for -stats (the old cache-only counters)")
 	trace := flag.String("trace", "", "stream per-stage spans to this file as JSONL")
@@ -114,78 +114,6 @@ func main() {
 		fatal(fmt.Errorf("unknown sweep mode %q (want devices or clocks)", *sweep))
 	}
 
-	caches := core.NewCaches()
-	if *cacheDir != "" {
-		var maxBytes int64
-		if *cacheDirMax != "" {
-			maxBytes, err = cache.ParseByteSize(*cacheDirMax)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if _, err := caches.WithDiskMax(*cacheDir, maxBytes); err != nil {
-			fatal(err)
-		}
-	}
-	// Trace context before the remote tier, so the HELLO handshake can
-	// announce it to the cache servers.
-	needObs := *trace != "" || *stats || *cacheStats || *manifestPath != "" || *debugAddr != ""
-	runTrace := ""
-	if needObs {
-		runTrace = obs.NewTraceID()
-	}
-
-	var remote *cache.RemoteTier
-	if *remoteCache != "" {
-		rt, err := cache.NewRemoteTier(strings.Split(*remoteCache, ","), cache.RemoteConfig{TraceID: runTrace})
-		if err == nil {
-			err = rt.Ping()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		// The Analysis crosses the wire without candidate Designs, so it
-		// is only shared when this run does not emit VHDL.
-		caches.WithRemote(rt, *vhdlDir == "")
-		remote = rt
-		defer rt.Close()
-	}
-
-	// A recorder only when some surface will read it; nil keeps the flow
-	// on its alloc-free fast path.
-	var rec *obs.Recorder
-	if needObs {
-		rec = obs.NewRecorder()
-		rec.SetTrace(runTrace, "")
-	}
-	var traceFile *obs.TraceWriter
-	if *trace != "" {
-		tw, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = tw
-		rec.StreamTo(tw.Writer())
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr, obs.DebugSources{
-			Rec:           rec,
-			Caches:        caches.StatsMap,
-			TierLatencies: caches.TierLatencyMap,
-			Peers: func() []cache.PeerMetrics {
-				if remote == nil {
-					return nil
-				}
-				return remote.PeerMetrics()
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", dbg.Addr())
-	}
-
 	paths := flag.Args()
 	outputs := make([]string, len(paths))
 	errs := make([]error, len(paths))
@@ -196,6 +124,25 @@ func main() {
 	if pool > len(paths) {
 		pool = len(paths)
 	}
+
+	sess, err := runsess.Open(runsess.Config{
+		Tool:        "bparts",
+		Args:        os.Args[1:],
+		Workers:     pool,
+		CacheDir:    *cacheDir,
+		CacheDirMax: *cacheDirMax,
+		Stats:       *stats || *cacheStats,
+		Trace:       *trace,
+		Manifest:    *manifestPath,
+		DebugAddr:   *debugAddr,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if sess.Debug != nil {
+		fmt.Fprintf(os.Stderr, "debug listener on http://%s/debug/vars (metrics on /metrics)\n", sess.Debug.Addr())
+	}
+	caches, rec := sess.Caches, sess.Rec
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
@@ -220,33 +167,25 @@ func main() {
 	close(jobCh)
 	wg.Wait()
 
+	// Reports print in argument order up to the first failing input,
+	// whose error is reported after the session closes: the trace and
+	// manifest still cover every binary that ran.
+	var failed error
 	for i := range paths {
 		if errs[i] != nil {
-			fatal(errs[i])
+			failed = errs[i]
+			break
 		}
 		if i > 0 {
 			fmt.Println()
 		}
 		fmt.Print(outputs[i])
 	}
-	if *stats || *cacheStats {
-		fmt.Fprint(os.Stderr, rec.Table())
-		fmt.Fprint(os.Stderr, caches.StatsString())
+	if err := sess.Close(false); err != nil {
+		failed = errors.Join(failed, err)
 	}
-	if traceFile != nil {
-		rec.EmitCaches(caches.StatsMap())
-		if err := rec.Flush(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
-		}
-		if err := traceFile.Close(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
-		}
-	}
-	if *manifestPath != "" {
-		m := obs.BuildManifest("bparts", os.Args[1:], pool, rec, caches.StatsMap())
-		if err := m.Write(*manifestPath); err != nil {
-			fatal(fmt.Errorf("manifest: %w", err))
-		}
+	if failed != nil {
+		fatal(failed)
 	}
 }
 

@@ -8,19 +8,18 @@ import (
 )
 
 // Sealed blob framing. Every serialized cache value that leaves the
-// typed in-memory layer — for the disk tier, the remote tier, or the
-// cache server — is wrapped in an 8-byte header:
+// typed in-memory layer for the disk store is wrapped in an 8-byte
+// header:
 //
 //	[0:4]  magic "SBC1"
 //	[4:8]  CRC32-C (Castagnoli) of the payload, little endian
 //	[8:]   codec payload
 //
-// The header makes corruption (torn writes, truncation, bit rot, a
-// damaged network transfer) detectable identically at every tier and
-// without running the value codec: Open is a checksum over the bytes,
-// not a parse. A blob that fails Open is treated exactly like the old
-// codec-rejection path — counted corrupt, deleted from the tier that
-// served it, and recomputed.
+// The header makes corruption (torn writes, truncation, bit rot)
+// detectable without running the value codec: Open is a checksum over
+// the bytes, not a parse. A blob that fails Open is treated exactly like
+// a codec rejection — counted corrupt, deleted from the store, and
+// recomputed.
 
 // blobMagic distinguishes sealed blobs from raw or pre-header files; a
 // version bump (SBC2) invalidates every existing blob, which is the
@@ -32,7 +31,7 @@ const blobHeaderLen = 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Blob corruption errors. Both unwrap to ErrBlobCorrupt so tiers can
+// Blob corruption errors. All unwrap to ErrBlobCorrupt so callers can
 // classify without string matching.
 var (
 	ErrBlobCorrupt  = errors.New("cache: corrupt blob")

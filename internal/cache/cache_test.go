@@ -358,3 +358,86 @@ func TestCorruptBlobDeleted(t *testing.T) {
 		t.Errorf("corrupt stat = %d, want 1", got)
 	}
 }
+
+// stringCodec is the trivial test codec.
+var stringCodec = Codec[string]{
+	Marshal:   func(s string) ([]byte, error) { return []byte(s), nil },
+	Unmarshal: func(b []byte) (string, error) { return string(b), nil },
+}
+
+// TestCacheTierLatencies checks that disk probes — the miss that found
+// nothing and the cold read that served a blob — feed the disk-read
+// latency histogram, and that a memory-only cache reports none.
+func TestCacheTierLatencies(t *testing.T) {
+	store, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewHasher("t").String("lat").Sum()
+	c := New[string](8).WithDisk(store, stringCodec)
+	if _, err := c.GetOrCompute(k, func() (string, error) { return "v", nil }); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := c.DiskLatency()
+	if !ok || snap.Count != 1 {
+		t.Fatalf("miss probe: latency %+v, ok %v; want one sample", snap, ok)
+	}
+
+	cold := New[string](8).WithDisk(store, stringCodec)
+	if v, out, err := cold.GetOrComputeOutcome(k, nil); err != nil || v != "v" || out != OutcomeDisk {
+		t.Fatalf("cold read = %q, %v, %v", v, out, err)
+	}
+	if snap, _ := cold.DiskLatency(); snap.Count != 1 {
+		t.Errorf("disk read: %d latency samples, want 1", snap.Count)
+	}
+
+	if _, ok := New[string](8).DiskLatency(); ok {
+		t.Error("memory-only cache reports disk latencies")
+	}
+}
+
+// TestConcurrentTieredCache hammers one disk store from several caches
+// at once (as concurrent processes sharing a -cachedir would); under
+// -race this is the concurrency audit for the disk path: inflight
+// exclusion around the disk probe, write-back outside the lock, and
+// atomic blob replacement. A final cold cache must then serve every key
+// from disk.
+func TestConcurrentTieredCache(t *testing.T) {
+	store, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := New[string](16).WithDisk(store, stringCodec)
+			for i := 0; i < 40; i++ {
+				k := NewHasher("t").Int(int64(i % 8)).Sum()
+				want := fmt.Sprintf("v%d", i%8)
+				v, err := c.GetOrCompute(k, func() (string, error) { return want, nil })
+				if err != nil || v != want {
+					t.Errorf("goroutine %d: %q, %v", g, v, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	cold := New[string](16).WithDisk(store, stringCodec)
+	for i := 0; i < 8; i++ {
+		k := NewHasher("t").Int(int64(i)).Sum()
+		v, out, err := cold.GetOrComputeOutcome(k, func() (string, error) {
+			t.Errorf("key %d recomputed; not on disk", i)
+			return "", nil
+		})
+		if err != nil || v != fmt.Sprintf("v%d", i) || out != OutcomeDisk {
+			t.Errorf("key %d: %q, %v, %v", i, v, out, err)
+		}
+	}
+	if s := cold.Stats(); s.DiskHits != 8 || s.Corrupt != 0 {
+		t.Errorf("cold stats = %+v, want 8 clean disk hits", s)
+	}
+}

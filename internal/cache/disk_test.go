@@ -145,3 +145,16 @@ func TestParseByteSize(t *testing.T) {
 		}
 	}
 }
+
+// waitFor polls cond for up to 5s; the deadline failure names what
+// never happened.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

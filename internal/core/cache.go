@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -71,41 +73,43 @@ func compileCodec() cache.Codec[*binimg.Image] {
 	}
 }
 
-// WithDisk attaches an unbounded on-disk tier under dir to the stages
-// whose values have a byte format: compilation (SBF images) and
-// simulation (gob results). The Analysis stage stays off disk so a warm
-// single-process run keeps candidate Designs (VHDL emission) intact.
-func (c *Caches) WithDisk(dir string) (*Caches, error) {
-	return c.WithDiskMax(dir, 0)
+// SimCodec round-trips sim.Result through gob for the disk store.
+// Profiles are maps of plain counters; the whole value is
+// platform-independent data. The other stages' values (lifted CDFGs,
+// Designs, the assembled Analysis) hold cyclic graphs and stay in
+// memory.
+func SimCodec() cache.Codec[sim.Result] {
+	return cache.Codec[sim.Result]{
+		Marshal: func(r sim.Result) ([]byte, error) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+				return nil, err
+			}
+			return buf.Bytes(), nil
+		},
+		Unmarshal: func(b []byte) (sim.Result, error) {
+			var r sim.Result
+			err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
+			return r, err
+		},
+	}
 }
 
-// WithDiskMax is WithDisk with a byte budget: when the directory's blobs
-// exceed maxBytes, the store evicts oldest-mtime-first in a background
-// sweep (0 means unbounded). This is the -cachedir-max flag.
+// WithDiskMax attaches a disk store under dir to the stages whose values
+// have a byte format: compilation (SBF images) and simulation (gob
+// results). The other stages stay in memory, so candidate Designs (VHDL
+// emission) are always the ones this process synthesized. When the
+// directory's blobs exceed maxBytes, the store evicts
+// oldest-mtime-first in a background sweep (0 means unbounded); this is
+// the -cachedir / -cachedir-max pair.
 func (c *Caches) WithDiskMax(dir string, maxBytes int64) (*Caches, error) {
 	store, err := cache.OpenDiskMax(dir, maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	c.Compile.WithTiers(compileCodec(), store)
-	c.Sim.WithTiers(SimCodec(), store)
+	c.Compile.WithDisk(store, compileCodec())
+	c.Sim.WithDisk(store, SimCodec())
 	return c, nil
-}
-
-// WithRemote attaches a shared network cache tier (see cache.RemoteTier)
-// to the serializable stages: compilation, simulation, and — when
-// shareAnalysis is set — the assembled Analysis. Sharing the Analysis is
-// what lets distributed workers converge on one cache (an Analysis hit
-// skips sim+lift+synth entirely), but a remotely fetched Analysis has no
-// candidate Designs, so front-ends that emit VHDL must pass
-// shareAnalysis=false.
-func (c *Caches) WithRemote(rt *cache.RemoteTier, shareAnalysis bool) *Caches {
-	c.Compile.WithTiers(compileCodec(), rt)
-	c.Sim.WithTiers(SimCodec(), rt)
-	if shareAnalysis {
-		c.Analysis.WithTiers(AnalysisCodec(), rt)
-	}
-	return c
 }
 
 // cacheNames is the rendering order of the stage caches; StatsMap carries
@@ -128,23 +132,23 @@ func (c *Caches) StatsMap() map[string]cache.Stats {
 	}
 }
 
-// TierLatencyMap snapshots every stage cache's per-tier read-latency
-// histograms, keyed by stage name then tier name. Stages with no backing
-// tiers are omitted, so a memory-only run contributes nothing.
-func (c *Caches) TierLatencyMap() map[string]map[string]hist.Snapshot {
+// DiskLatencyMap snapshots the disk-read latency histogram of every
+// stage cache with a disk store, keyed by stage name. A memory-only run
+// contributes nothing.
+func (c *Caches) DiskLatencyMap() map[string]hist.Snapshot {
 	if c == nil {
 		return nil
 	}
-	out := map[string]map[string]hist.Snapshot{}
-	for name, lats := range map[string]map[string]hist.Snapshot{
-		"compile":  c.Compile.TierLatencies(),
-		"sim":      c.Sim.TierLatencies(),
-		"lift":     c.Lift.TierLatencies(),
-		"synth":    c.Synth.TierLatencies(),
-		"analysis": c.Analysis.TierLatencies(),
+	out := map[string]hist.Snapshot{}
+	for name, lat := range map[string]func() (hist.Snapshot, bool){
+		"compile":  c.Compile.DiskLatency,
+		"sim":      c.Sim.DiskLatency,
+		"lift":     c.Lift.DiskLatency,
+		"synth":    c.Synth.DiskLatency,
+		"analysis": c.Analysis.DiskLatency,
 	} {
-		if len(lats) > 0 {
-			out[name] = lats
+		if snap, ok := lat(); ok {
+			out[name] = snap
 		}
 	}
 	return out
@@ -157,11 +161,11 @@ func (c *Caches) StatsString() string {
 	}
 	stats := c.StatsMap()
 	var b strings.Builder
-	b.WriteString("cache  stage      hits   miss  disk  remote  rwait  wait  corrupt  evict  entries\n")
+	b.WriteString("cache  stage      hits   miss  disk  wait  corrupt  evict  entries\n")
 	for _, name := range cacheNames {
 		s := stats[name]
-		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %7d %6d %5d %7d %6d %8d\n",
-			name, s.Hits, s.Misses, s.DiskHits, s.RemoteHits, s.RemoteWaits, s.Waits, s.Corrupt, s.Evictions, s.Entries)
+		fmt.Fprintf(&b, "cache  %-8s %6d %6d %5d %5d %7d %6d %8d\n",
+			name, s.Hits, s.Misses, s.DiskHits, s.Waits, s.Corrupt, s.Evictions, s.Entries)
 	}
 	return b.String()
 }

@@ -78,25 +78,14 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 		caches = core.NewCaches()
 	}
 
-	// A sharded runner (see Runner.ShardIndex) generates and runs only
-	// its own points; N shrinks to the owned count so the summary's
-	// recovery-rate denominator stays honest for the child's gating.
-	owned := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if r.owns(i) {
-			owned = append(owned, i)
-		}
-	}
-
 	type genPoint struct {
 		prog progen.Program
 		img  *binimg.Image
 	}
-	gens, err := fanOut(r.workers(), len(owned), func(w, oi int) (genPoint, error) {
+	gens, err := fanOut(r.workers(), n, func(w, i int) (genPoint, error) {
 		if r.interrupted.Load() {
 			return genPoint{}, ErrInterrupted
 		}
-		i := owned[oi]
 		seed := baseSeed + int64(i)
 		lvl := i % 4
 		p := progen.Generate(seed, progen.SwitchConfig())
@@ -111,11 +100,11 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 	}
 
 	// The reference-oracle simulations go through the sim stage cache —
-	// they are keyed like any other sim result — so a distributed corpus
-	// shares its most expensive phase across workers. Probe first, batch
-	// only the misses over the pool, and put the results back (flowing to
-	// the disk/remote tiers); each probe emits a sim span so span totals
-	// still reconcile with the cache counters.
+	// they are keyed like any other sim result — so a re-run (or a warm
+	// -cachedir) skips its most expensive phase. Probe first, batch only
+	// the misses over the pool, and put the results back (flowing to the
+	// disk store); each probe emits a sim span so span totals still
+	// reconcile with the cache counters.
 	refCfg := sim.DefaultConfig()
 	refCfg.Engine = sim.EngineReference
 	type refOut struct {
@@ -125,8 +114,7 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 	refs := make([]refOut, len(gens))
 	var missIdx []int
 	var missJobs []sim.BatchJob
-	for oi, g := range gens {
-		i := owned[oi]
+	for i, g := range gens {
 		sc := r.Obs.Scope(fmt.Sprintf("corpus/%d", baseSeed+int64(i)), i%4, 0)
 		sp := sc.Start(obs.StageSim)
 		res, out, ok := caches.Sim.GetOutcome(core.SimKey(g.img.Key(), refCfg))
@@ -134,44 +122,43 @@ func (r *Runner) Corpus(n int, baseSeed int64) (*Corpus, error) {
 		sp.SetEngine(refCfg.Engine.String())
 		sp.End()
 		if ok {
-			refs[oi] = refOut{res: res}
+			refs[i] = refOut{res: res}
 			continue
 		}
-		missIdx = append(missIdx, oi)
+		missIdx = append(missIdx, i)
 		missJobs = append(missJobs, sim.BatchJob{Img: g.img, Cfg: refCfg})
 	}
 	if len(missJobs) > 0 {
 		batch := sim.RunBatch(missJobs, r.workers())
-		for bi, oi := range missIdx {
+		for bi, i := range missIdx {
 			if batch[bi].Err != nil {
-				refs[oi] = refOut{err: batch[bi].Err}
+				refs[i] = refOut{err: batch[bi].Err}
 				continue
 			}
-			refs[oi] = refOut{res: batch[bi].Res}
-			caches.Sim.Put(core.SimKey(gens[oi].img.Key(), refCfg), batch[bi].Res)
+			refs[i] = refOut{res: batch[bi].Res}
+			caches.Sim.Put(core.SimKey(gens[i].img.Key(), refCfg), batch[bi].Res)
 		}
 	}
 
-	pts, err := fanOut(r.workers(), len(owned), func(w, oi int) (CorpusPoint, error) {
+	pts, err := fanOut(r.workers(), n, func(w, i int) (CorpusPoint, error) {
 		if r.interrupted.Load() {
 			return CorpusPoint{}, ErrInterrupted
 		}
-		i := owned[oi]
 		seed := baseSeed + int64(i)
 		lvl := i % 4
 		sc := r.Obs.Scope(fmt.Sprintf("corpus/%d", seed), lvl, w)
 		sp := sc.Start(obs.StageJob)
 		defer sp.End()
-		if refs[oi].err != nil {
-			return CorpusPoint{Seed: seed, OptLevel: lvl, Shapes: gens[oi].prog.Shapes},
-				fmt.Errorf("corpus seed %d -O%d: reference sim: %w", seed, lvl, refs[oi].err)
+		if refs[i].err != nil {
+			return CorpusPoint{Seed: seed, OptLevel: lvl, Shapes: gens[i].prog.Shapes},
+				fmt.Errorf("corpus seed %d -O%d: reference sim: %w", seed, lvl, refs[i].err)
 		}
-		return corpusPoint(seed, lvl, gens[oi].prog, gens[oi].img, refs[oi].res, r.Engine, caches, sc)
+		return corpusPoint(seed, lvl, gens[i].prog, gens[i].img, refs[i].res, r.Engine, caches, sc)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{N: len(owned), BaseSeed: baseSeed, Points: pts}, nil
+	return &Corpus{N: n, BaseSeed: baseSeed, Points: pts}, nil
 }
 
 // corpusPoint runs one generated program through every oracle. The

@@ -91,3 +91,26 @@ func TestCorpusSummaryArtifact(t *testing.T) {
 		t.Errorf("artifact %+v does not match summary %+v", s, c.Summary())
 	}
 }
+
+// TestCorpusRefSimCached checks the reference-oracle caching: a second
+// corpus run over one cache set must serve every reference simulation
+// from the sim cache instead of re-running the slow reference stepper.
+func TestCorpusRefSimCached(t *testing.T) {
+	caches := core.NewCaches()
+	r := &Runner{Workers: 2, Caches: caches}
+	const n = 4
+	if _, err := r.Corpus(n, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := caches.Sim.Stats()
+	if _, err := r.Corpus(n, 1); err != nil {
+		t.Fatal(err)
+	}
+	after := caches.Sim.Stats()
+	if after.Misses != before.Misses {
+		t.Errorf("second corpus run recomputed %d sims", after.Misses-before.Misses)
+	}
+	if after.Hits <= before.Hits {
+		t.Errorf("second corpus run had no sim cache hits: %+v -> %+v", before, after)
+	}
+}

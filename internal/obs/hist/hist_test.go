@@ -40,11 +40,10 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsConcatenation is the distributed-trace property: the
-// merge of N worker histograms must be bucket-exact equal to one
-// histogram fed the concatenation of every worker's samples. This is
-// what lets the parent of a -dist run reconstruct suite-wide
-// percentiles from per-worker snapshots.
+// TestMergeEqualsConcatenation is the fixed-layout property: the merge
+// of N histograms must be bucket-exact equal to one histogram fed the
+// concatenation of every part's samples, so percentiles of merged
+// snapshots are the percentiles of the combined samples.
 func TestMergeEqualsConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const workers = 5
@@ -150,5 +149,20 @@ func TestPromExposition(t *testing.T) {
 	NewProm(&empty).Summary("z", "", Snapshot{})
 	if empty.Len() != 0 {
 		t.Errorf("empty summary emitted output: %q", empty.String())
+	}
+
+	// SummaryFromStart keeps an empty family visible: NaN quantiles and
+	// zero _sum/_count, typed once.
+	var start strings.Builder
+	NewProm(&start).SummaryFromStart("z", Label("route", "r"), Snapshot{})
+	for _, want := range []string{
+		"# TYPE z summary\n",
+		`z{route="r",quantile="0.99"} NaN`,
+		`z_sum{route="r"} 0`,
+		`z_count{route="r"} 0`,
+	} {
+		if !strings.Contains(start.String(), want) {
+			t.Errorf("empty SummaryFromStart missing %q:\n%s", want, start.String())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package hist
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -61,13 +62,25 @@ func (p *Prom) Summary(name, labels string, s Snapshot) {
 	if s.Empty() {
 		return
 	}
+	p.SummaryFromStart(name, labels, s)
+}
+
+// SummaryFromStart is Summary for a family that must be present from
+// the first scrape: an empty snapshot emits NaN quantiles and zero _sum
+// and _count, the Prometheus convention for a summary with no
+// observations yet.
+func (p *Prom) SummaryFromStart(name, labels string, s Snapshot) {
 	p.header(name, "summary")
 	for _, q := range Quantiles {
 		ql := fmt.Sprintf("quantile=%q", fmt.Sprintf("%g", q))
 		if labels != "" {
 			ql = labels + "," + ql
 		}
-		p.sample(name, ql, s.QuantileSeconds(q))
+		v := math.NaN()
+		if !s.Empty() {
+			v = s.QuantileSeconds(q)
+		}
+		p.sample(name, ql, v)
 	}
 	p.sample(name+"_sum", labels, float64(s.SumNs)/1e9)
 	p.sample(name+"_count", labels, float64(s.Count))

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,11 +129,13 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 }
 
 // TestStreamJSONL checks the -trace surface: a meta header line carrying
-// the trace context, then one JSON object per span, in emission order,
-// with the documented field names.
+// the recorder's trace ID, then one JSON object per span, in emission
+// order, with the documented field names.
 func TestStreamJSONL(t *testing.T) {
 	rec := NewRecorder()
-	rec.SetTrace("deadbeef", "0/2")
+	if len(rec.TraceID()) != 32 {
+		t.Fatalf("trace ID %q, want 128 bits of hex", rec.TraceID())
+	}
 	var buf bytes.Buffer
 	rec.StreamTo(&buf)
 
@@ -156,8 +159,6 @@ func TestStreamJSONL(t *testing.T) {
 			Level  int    `json:"opt"`
 			Worker int    `json:"worker"`
 			Trace  string `json:"trace"`
-			Proc   string `json:"proc"`
-			Epoch  int64  `json:"epoch_unix_us"`
 			Cache  string `json:"cache"`
 			DurUS  *int64 `json:"dur_us"`
 		}
@@ -168,7 +169,7 @@ func TestStreamJSONL(t *testing.T) {
 			if metas != 0 || n != 0 {
 				t.Errorf("meta line %q after %d spans, want exactly one header", line.Meta, n)
 			}
-			if line.Meta != MetaTrace || line.Trace != "deadbeef" || line.Proc != "0/2" || line.Epoch == 0 {
+			if line.Meta != MetaTrace || line.Trace != rec.TraceID() {
 				t.Errorf("bad stream header: %+v", line)
 			}
 			metas++
@@ -176,9 +177,6 @@ func TestStreamJSONL(t *testing.T) {
 		}
 		if line.Stage != StageSynth || line.Bench != "fir" || line.Level != 1 || line.Worker != 3 {
 			t.Errorf("line %d attribution: %+v", n, line)
-		}
-		if line.Trace != "deadbeef" || line.Proc != "0/2" {
-			t.Errorf("line %d trace tags: %+v", n, line)
 		}
 		if line.Cache != "miss" {
 			t.Errorf("line %d cache = %q, want miss", n, line.Cache)
@@ -253,7 +251,7 @@ func TestBuildManifestNil(t *testing.T) {
 
 // TestServeDebug smoke-tests the -debug-addr listener: expvar must serve
 // the live per-stage totals and cache counters, and /metrics the
-// Prometheus exposition with stage, tier, and peer series.
+// Prometheus exposition with stage and disk-latency series.
 func TestServeDebug(t *testing.T) {
 	rec := NewRecorder()
 	sp := rec.Scope("fir", 0, 0).Start(StageSim)
@@ -264,15 +262,10 @@ func TestServeDebug(t *testing.T) {
 		Caches: func() map[string]cache.Stats {
 			return map[string]cache.Stats{"sim": {Hits: 7}}
 		},
-		TierLatencies: func() map[string]map[string]hist.Snapshot {
+		DiskLatencies: func() map[string]hist.Snapshot {
 			var s hist.Snapshot
 			s.Observe(3 * time.Millisecond)
-			return map[string]map[string]hist.Snapshot{"sim": {"disk": s}}
-		},
-		Peers: func() []cache.PeerMetrics {
-			var rtt hist.Snapshot
-			rtt.Observe(time.Millisecond)
-			return []cache.PeerMetrics{{Addr: "127.0.0.1:9736", Ops: 3, RTT: rtt}}
+			return map[string]hist.Snapshot{"sim": s}
 		},
 	})
 	if err != nil {
@@ -316,8 +309,6 @@ func TestServeDebug(t *testing.T) {
 		`binpart_stage_latency_seconds{stage="sim",quantile="0.95"}`,
 		`binpart_stage_latency_seconds{stage="sim",quantile="0.99"}`,
 		`binpart_cache_tier_latency_seconds{cache="sim",tier="disk",quantile="0.99"}`,
-		`binpart_remote_peer_ops_total{peer="127.0.0.1:9736"} 3`,
-		`binpart_remote_peer_rtt_seconds{peer="127.0.0.1:9736",quantile="0.5"}`,
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -348,11 +339,37 @@ func TestSpanOutcomeReconciliation(t *testing.T) {
 
 	st := rec.StageTotals()[0]
 	s := c.Stats()
-	if st.Hit+st.Wait+st.Disk+st.Remote+st.RemoteWait != s.Hits {
-		t.Errorf("span hits %d+%d+%d+%d+%d != cache hits %d",
-			st.Hit, st.Wait, st.Disk, st.Remote, st.RemoteWait, s.Hits)
+	if st.Hit+st.Wait+st.Disk != s.Hits {
+		t.Errorf("span hits %d+%d+%d != cache hits %d",
+			st.Hit, st.Wait, st.Disk, s.Hits)
 	}
 	if st.Miss+st.Corrupt != s.Misses {
 		t.Errorf("span misses %d+%d != cache misses %d", st.Miss, st.Corrupt, s.Misses)
+	}
+}
+
+// TestMetricsFamiliesFromFirstScrape: before any span is recorded, the
+// exposition already carries every pipeline stage's span, wall, and
+// latency series and every cached stage's outcome series, at zero — a
+// scraper never has to race the first event to find a family.
+func TestMetricsFamiliesFromFirstScrape(t *testing.T) {
+	var b bytes.Buffer
+	WriteMetrics(&b, DebugSources{Rec: NewRecorder()})
+	out := b.String()
+	for _, want := range []string{
+		`binpart_stage_spans_total{stage="job"} 0`,
+		`binpart_stage_spans_total{stage="evaluate"} 0`,
+		`binpart_stage_wall_seconds_total{stage="sim"} 0`,
+		`binpart_stage_cache_outcomes_total{stage="analyze",outcome="hit"} 0`,
+		`binpart_stage_cache_outcomes_total{stage="synth",outcome="corrupt"} 0`,
+		`binpart_stage_latency_seconds{stage="lift",quantile="0.5"} NaN`,
+		`binpart_stage_latency_seconds_count{stage="compile"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("first scrape missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `stage="job",outcome=`) {
+		t.Error("uncached job stage exposes cache outcomes")
 	}
 }

@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"binpart/internal/cache"
 )
 
 // TraceWriter is the sink behind -trace: a file, gzip-compressed when the
-// path ends in ".gz" (merged distributed traces get large). Stream spans
+// path ends in ".gz" (long daemon runs get large). Stream spans
 // into Writer(), then Close — which flushes every layer and reports the
 // first error, so a full disk surfaces as a nonzero exit instead of a
 // silently truncated trace.
@@ -60,11 +59,9 @@ func (t *TraceWriter) Close() error {
 // TraceFile is one parsed trace stream: the header tags, every span, and
 // the cache-accounting trailer (nil when the producer emitted none).
 type TraceFile struct {
-	Trace       string
-	Proc        string
-	EpochUnixUS int64
-	Spans       []SpanRecord
-	Caches      map[string]cache.Stats
+	Trace  string
+	Spans  []SpanRecord
+	Caches map[string]cache.Stats
 }
 
 // ReadTrace parses a trace file written by StreamTo/EmitCaches,
@@ -124,120 +121,14 @@ func parseTrace(r io.Reader) (*TraceFile, error) {
 		switch meta.Meta {
 		case MetaTrace:
 			tf.Trace = meta.Trace
-			tf.Proc = meta.Proc
-			tf.EpochUnixUS = meta.EpochUnixUS
 		case MetaCaches:
-			tf.Caches = mergeCacheStats(tf.Caches, meta.Caches)
+			tf.Caches = meta.Caches
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return tf, nil
-}
-
-// mergeCacheStats sums b into a per stage key. Entries/Evictions are
-// per-process gauges of independent memories, so they sum too: the
-// merged view is "across all processes of the run".
-func mergeCacheStats(a, b map[string]cache.Stats) map[string]cache.Stats {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		a = map[string]cache.Stats{}
-	}
-	for k, s := range b {
-		t := a[k]
-		t.Hits += s.Hits
-		t.Misses += s.Misses
-		t.Evictions += s.Evictions
-		t.DiskHits += s.DiskHits
-		t.RemoteHits += s.RemoteHits
-		t.RemoteWaits += s.RemoteWaits
-		t.Waits += s.Waits
-		t.Corrupt += s.Corrupt
-		t.Entries += s.Entries
-		a[k] = t
-	}
-	return a
-}
-
-// MergeTraces combines the parent's trace with every worker's into one
-// coherent run trace: worker span timestamps are realigned from their
-// process epoch onto the earliest epoch, spans are tagged with their
-// process label, cache accounting is summed, and the result is sorted by
-// adjusted start time. Every part must carry the same non-empty trace ID
-// — a mismatch means the caller merged files from different runs.
-func MergeTraces(parts []*TraceFile) (*TraceFile, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("merge: no trace parts")
-	}
-	trace := parts[0].Trace
-	if trace == "" {
-		return nil, fmt.Errorf("merge: part %q has no trace ID", parts[0].Proc)
-	}
-	epoch := parts[0].EpochUnixUS
-	for _, p := range parts[1:] {
-		if p.Trace != trace {
-			return nil, fmt.Errorf("merge: trace ID mismatch: %q (proc %q) vs %q", p.Trace, p.Proc, trace)
-		}
-		if p.EpochUnixUS < epoch {
-			epoch = p.EpochUnixUS
-		}
-	}
-
-	merged := &TraceFile{Trace: trace, EpochUnixUS: epoch}
-	for _, p := range parts {
-		shift := p.EpochUnixUS - epoch
-		for _, sp := range p.Spans {
-			sp.StartUS += shift
-			if sp.Trace == "" {
-				sp.Trace = trace
-			}
-			if sp.Proc == "" {
-				sp.Proc = p.Proc
-			}
-			merged.Spans = append(merged.Spans, sp)
-		}
-		merged.Caches = mergeCacheStats(merged.Caches, p.Caches)
-	}
-	sort.SliceStable(merged.Spans, func(i, j int) bool {
-		return merged.Spans[i].StartUS < merged.Spans[j].StartUS
-	})
-	return merged, nil
-}
-
-// Write serializes the trace file back to the stream format: header meta
-// line, spans in order, cache trailer.
-func (tf *TraceFile) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(TraceMeta{Meta: MetaTrace, Trace: tf.Trace, Proc: tf.Proc, EpochUnixUS: tf.EpochUnixUS}); err != nil {
-		return err
-	}
-	for i := range tf.Spans {
-		if err := enc.Encode(&tf.Spans[i]); err != nil {
-			return err
-		}
-	}
-	if tf.Caches != nil {
-		if err := enc.Encode(TraceMeta{Meta: MetaCaches, Caches: tf.Caches}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFile writes the trace to path via TraceWriter (gzipped for .gz).
-func (tf *TraceFile) WriteFile(path string) error {
-	tw, err := CreateTrace(path)
-	if err != nil {
-		return err
-	}
-	if err := tf.Write(tw.Writer()); err != nil {
-		tw.Close()
-		return err
-	}
-	return tw.Close()
 }
 
 // CacheForStage maps a span stage to the key its stage cache reports
@@ -252,11 +143,9 @@ var CacheForStage = map[string]string{
 }
 
 // Reconcile checks the trace's span outcomes against its cache
-// accounting: for every stage with a cache, spans tagged
-// hit+wait+disk+remote+rwait must equal the cache's Hits, and
-// miss+corrupt its Misses. The invariant holds per process and is
-// preserved by summation, so it must also hold for a merged distributed
-// trace — a mismatch means spans or stats were dropped in flight.
+// accounting: for every stage with a cache, spans tagged hit+wait+disk
+// must equal the cache's Hits, and miss+corrupt its Misses. A mismatch
+// means spans or stats were dropped in flight.
 func (tf *TraceFile) Reconcile() error {
 	if tf.Caches == nil {
 		return fmt.Errorf("reconcile: trace has no cache accounting trailer")
@@ -272,7 +161,7 @@ func (tf *TraceFile) Reconcile() error {
 		if !ok {
 			continue
 		}
-		if got, want := st.Hit+st.Wait+st.Disk+st.Remote+st.RemoteWait, cs.Hits; got != want {
+		if got, want := st.Hit+st.Wait+st.Disk, cs.Hits; got != want {
 			problems = append(problems, fmt.Sprintf("%s: span hits %d != cache hits %d", st.Stage, got, want))
 		}
 		if got, want := st.Miss+st.Corrupt, cs.Misses; got != want {

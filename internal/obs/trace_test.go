@@ -9,21 +9,6 @@ import (
 	"binpart/internal/cache"
 )
 
-// traceWithSpans builds a recorder with n synthetic spans and returns
-// its trace-file form.
-func traceWithSpans(t *testing.T, trace, proc string, n int, outcome cache.Outcome) *Recorder {
-	t.Helper()
-	rec := NewRecorder()
-	rec.SetTrace(trace, proc)
-	sc := rec.Scope("fir", 0, 0)
-	for i := 0; i < n; i++ {
-		sp := sc.Start(StageSim)
-		sp.SetOutcome(outcome)
-		sp.End()
-	}
-	return rec
-}
-
 // TestTraceGzipRoundTrip is the satellite contract: a .gz trace path
 // compresses transparently, and ReadTrace recovers the exact stream —
 // header, spans, and the cache trailer.
@@ -35,12 +20,17 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := traceWithSpans(t, "abc123", "1/2", 4, cache.OutcomeMiss)
+			rec := NewRecorder()
+			// StreamTo only mirrors spans emitted after it: these four
+			// stay out of the file.
+			sc := rec.Scope("fir", 0, 0)
+			for i := 0; i < 4; i++ {
+				sp := sc.Start(StageSim)
+				sp.SetOutcome(cache.OutcomeMiss)
+				sp.End()
+			}
 			rec.StreamTo(tw.Writer())
-			// Re-emit the spans recorded before streaming started by
-			// writing them through a fresh pass: StreamTo only mirrors
-			// spans emitted after it, so emit live ones too.
-			sc := rec.Scope("brev", 2, 1)
+			sc = rec.Scope("brev", 2, 1)
 			sp := sc.Start(StageLift)
 			sp.SetOutcome(cache.OutcomeHit)
 			sp.End()
@@ -56,95 +46,20 @@ func TestTraceGzipRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tf.Trace != "abc123" || tf.Proc != "1/2" || tf.EpochUnixUS == 0 {
+			if tf.Trace != rec.TraceID() {
 				t.Errorf("header lost: %+v", tf)
 			}
 			if len(tf.Spans) != 1 {
 				t.Fatalf("got %d streamed spans, want 1", len(tf.Spans))
 			}
 			sp0 := tf.Spans[0]
-			if sp0.Stage != StageLift || sp0.Bench != "brev" || sp0.Trace != "abc123" || sp0.Proc != "1/2" {
+			if sp0.Stage != StageLift || sp0.Bench != "brev" || sp0.Level != 2 || sp0.Worker != 1 {
 				t.Errorf("span lost fields: %+v", sp0)
 			}
 			if tf.Caches["sim"].Misses != 4 {
 				t.Errorf("cache trailer lost: %+v", tf.Caches)
 			}
 		})
-	}
-}
-
-// TestMergeTraces merges a parent part and two worker files: every span
-// must carry the shared trace ID and its process label, timestamps must
-// land on the earliest epoch's timeline in sorted order, and the summed
-// cache stats must reconcile against the merged span outcomes.
-func TestMergeTraces(t *testing.T) {
-	mkPart := func(proc string, epoch int64, starts []int64, outcome string) *TraceFile {
-		tf := &TraceFile{Trace: "run1", Proc: proc, EpochUnixUS: epoch}
-		for _, s := range starts {
-			tf.Spans = append(tf.Spans, SpanRecord{
-				Stage: StageSim, StartUS: s, DurUS: 10, Cache: outcome,
-			})
-		}
-		return tf
-	}
-	parent := mkPart("parent", 1_000_000, []int64{50}, "hit")
-	w0 := mkPart("0/2", 1_000_100, []int64{0, 30}, "miss")
-	w1 := mkPart("1/2", 999_900, []int64{10}, "remote")
-	parent.Caches = map[string]cache.Stats{"sim": {Hits: 1}}
-	w0.Caches = map[string]cache.Stats{"sim": {Misses: 2}}
-	w1.Caches = map[string]cache.Stats{"sim": {Hits: 1, RemoteHits: 1}}
-
-	merged, err := MergeTraces([]*TraceFile{parent, w0, w1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Trace != "run1" || merged.EpochUnixUS != 999_900 {
-		t.Errorf("merged header: %+v", merged)
-	}
-	if len(merged.Spans) != 4 {
-		t.Fatalf("merged %d spans, want 4", len(merged.Spans))
-	}
-	var prev int64 = -1
-	procs := map[string]int{}
-	for _, sp := range merged.Spans {
-		if sp.Trace != "run1" {
-			t.Errorf("span lost trace ID: %+v", sp)
-		}
-		if sp.StartUS < prev {
-			t.Errorf("spans out of order: %d after %d", sp.StartUS, prev)
-		}
-		prev = sp.StartUS
-		procs[sp.Proc]++
-	}
-	if procs["parent"] != 1 || procs["0/2"] != 2 || procs["1/2"] != 1 {
-		t.Errorf("proc tags = %v", procs)
-	}
-	// w1's epoch is the earliest; its span keeps StartUS 10. w0's spans
-	// shift by +200, the parent's by +100.
-	if got := merged.Spans[0].StartUS; got != 10 {
-		t.Errorf("first span start = %d, want 10", got)
-	}
-	if s := merged.Caches["sim"]; s.Hits != 2 || s.Misses != 2 || s.RemoteHits != 1 {
-		t.Errorf("summed caches = %+v", s)
-	}
-	if err := merged.Reconcile(); err != nil {
-		t.Errorf("merged trace failed reconciliation: %v", err)
-	}
-}
-
-// TestMergeTraceIDMismatch: merging parts of different runs must fail
-// loudly, not produce a chimera trace.
-func TestMergeTraceIDMismatch(t *testing.T) {
-	a := &TraceFile{Trace: "run1"}
-	b := &TraceFile{Trace: "run2", Proc: "0/2"}
-	if _, err := MergeTraces([]*TraceFile{a, b}); err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("merge of different runs: err = %v, want trace ID mismatch", err)
-	}
-	if _, err := MergeTraces(nil); err == nil {
-		t.Fatal("merge of nothing succeeded")
-	}
-	if _, err := MergeTraces([]*TraceFile{{}}); err == nil {
-		t.Fatal("merge of untagged part succeeded")
 	}
 }
 
@@ -175,39 +90,6 @@ func TestReconcileDetectsDrift(t *testing.T) {
 	}
 	if (&TraceFile{}).Reconcile() == nil {
 		t.Fatal("trace without accounting reconciled")
-	}
-}
-
-// TestMergedPercentilesAreBucketExact: stage percentiles computed from a
-// merged trace must equal those computed from the concatenated spans —
-// the histogram-merge property surfaced at the trace level.
-func TestMergedPercentilesAreBucketExact(t *testing.T) {
-	var all []SpanRecord
-	parts := make([]*TraceFile, 3)
-	for p := range parts {
-		parts[p] = &TraceFile{Trace: "run1", Proc: "w", EpochUnixUS: 1}
-		for i := 0; i < 50; i++ {
-			sp := SpanRecord{Stage: StageSynth, DurUS: int64((p + 1) * (i + 1) * 37)}
-			parts[p].Spans = append(parts[p].Spans, sp)
-			all = append(all, sp)
-		}
-	}
-	merged, err := MergeTraces(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := AggregateRecords(merged.Spans)
-	want := AggregateRecords(all)
-	if len(got) != 1 || len(want) != 1 {
-		t.Fatalf("aggregation shape: %d vs %d stages", len(got), len(want))
-	}
-	if got[0].P50US != want[0].P50US || got[0].P90US != want[0].P90US || got[0].P99US != want[0].P99US {
-		t.Errorf("merged percentiles %d/%d/%d != concatenated %d/%d/%d",
-			got[0].P50US, got[0].P90US, got[0].P99US,
-			want[0].P50US, want[0].P90US, want[0].P99US)
-	}
-	if got[0].Latency != want[0].Latency {
-		t.Errorf("merged latency histogram differs from concatenated")
 	}
 }
 
