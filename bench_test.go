@@ -160,6 +160,7 @@ func BenchmarkStageCompile(b *testing.B) {
 func BenchmarkStageSimulate(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
+	warmSimulator(b, img, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Execute(img, cfg); err != nil {
@@ -175,6 +176,7 @@ func BenchmarkStageSimulateProfiled(b *testing.B) {
 	img := crcImage(b)
 	cfg := sim.DefaultConfig()
 	cfg.Profile = true
+	warmSimulator(b, img, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Execute(img, cfg); err != nil {
@@ -217,11 +219,23 @@ func benchmarkEngine(b *testing.B, eng sim.Engine) {
 	cfg := sim.DefaultConfig()
 	cfg.Profile = true
 	cfg.Engine = eng
+	warmSimulator(b, img, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Execute(img, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// warmSimulator runs one simulation before the timer starts, so the
+// machine pool's first-use allocations stay out of the measurement: the
+// Stage* allocs/op gate compares steady-state runs, and at -benchtime 1x
+// the single timed iteration would otherwise include the warm-up.
+func warmSimulator(b *testing.B, img *binimg.Image, cfg sim.Config) {
+	b.Helper()
+	if _, err := sim.Execute(img, cfg); err != nil {
+		b.Fatal(err)
 	}
 }
 

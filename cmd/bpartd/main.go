@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -50,6 +51,16 @@ import (
 	"binpart/internal/runsess"
 	"binpart/internal/sim"
 )
+
+// bpartdGCPercent is the daemon's GC target unless GOGC is set in the
+// environment. The span recorder keeps only per-stage totals, so a warm
+// daemon's live heap is a few MB; at the default GOGC=100 the collector
+// would then run after every few MB of request garbage — about five
+// times as often as when the heap held a span log — and the extra cycles
+// show up in the warm request's tail latency. 400 lets the heap grow to
+// five times the live set between cycles: still tens of MB, bounded,
+// with a GC rate near the old one. See EXPERIMENTS.md E4 for the A/B.
+const bpartdGCPercent = 400
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "serve the v1 API on this address (\":0\" picks a free port)")
@@ -92,6 +103,10 @@ func main() {
 			url: *loadgen, bench: *lgBench, opt: *lgOpt,
 			conns: *lgConns, dur: *lgDur, minRPS: *lgMinRPS,
 		}))
+	}
+
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(bpartdGCPercent)
 	}
 
 	// Signals are watched from before the listener opens: a SIGTERM at

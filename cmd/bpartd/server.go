@@ -370,7 +370,7 @@ func (d *daemon) image(req *apiRequest, sc *obs.Scope) (*binimg.Image, error) {
 	defer sp.End()
 	if d.caches != nil && d.caches.Compile != nil {
 		img, out, err := d.caches.Compile.GetOrComputeOutcome(
-			bench.CompileKey(b.Source, req.Opt),
+			b.CompileKey(req.Opt),
 			func() (*binimg.Image, error) { return b.Compile(req.Opt) })
 		sp.SetOutcome(out)
 		return img, err

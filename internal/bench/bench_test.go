@@ -61,6 +61,31 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCompileKeyMemoMatchesRecipe pins the memoized compile keys to the
+// recipe: every suite benchmark at -O0..-O3 gets exactly the key
+// CompileKey(source, level) hashes, and a source the suite does not hold
+// — under a suite name or its own, or at a level outside -O0..-O3 —
+// falls through to the recipe instead of a stale memo.
+func TestCompileKeyMemoMatchesRecipe(t *testing.T) {
+	for _, b := range All() {
+		for lvl := -1; lvl <= 4; lvl++ {
+			if got, want := b.CompileKey(lvl), CompileKey(b.Source, lvl); got != want {
+				t.Errorf("%s -O%d: memoized key %s != recipe %s", b.Name, lvl, got, want)
+			}
+		}
+	}
+	crc, _ := ByName("crc")
+	edited := crc
+	edited.Source += "\n"
+	if got, want := edited.CompileKey(1), CompileKey(edited.Source, 1); got != want || got == crc.CompileKey(1) {
+		t.Errorf("edited crc source reused the suite memo: %s", got)
+	}
+	other := Benchmark{Name: "generated", Source: crc.Source}
+	if got, want := other.CompileKey(2), CompileKey(crc.Source, 2); got != want {
+		t.Errorf("non-suite name: key %s != recipe %s", got, want)
+	}
+}
+
 // TestAllBenchmarksRunAtAllLevels is the suite's core validation: every
 // benchmark compiles at O0..O3, runs to completion, and produces the SAME
 // checksum at every level (the compiler levels are semantics-preserving).

@@ -247,11 +247,11 @@ func evaluateOpts(a *Analysis, opts Options, sc *obs.Scope) *Report {
 		Options:  opts,
 		ExitCode: a.ExitCode,
 		SWCycles: a.SWCycles,
-		Recovery: a.Recovery,
+		// Shared read-only with the Analysis (see Report).
+		Recovery:    a.Recovery,
+		DoptReports: a.DoptReports,
+		Outlines:    a.Outlines,
 	}
-	rep.Recovery.FailReasons = copyStringMap(a.Recovery.FailReasons)
-	rep.DoptReports = copyStringMap(a.DoptReports)
-	rep.Outlines = copyStringMap(a.Outlines)
 
 	// Price the candidates: software time from the CPU clock, hardware
 	// time from the synthesized clock plus the per-invocation

@@ -133,6 +133,13 @@ type RecoveryStats struct {
 }
 
 // Report is the full outcome of a partitioning run.
+//
+// The Regions slice and its RegionReports are fresh per report. The
+// maps — Recovery.FailReasons, DoptReports, Outlines — are shared, not
+// copied: they are the Analysis's own maps (and through it the lift
+// cache's), so every Report evaluated from one Analysis reads the same
+// ones. Nothing writes to them after analysis; consumers must treat them
+// as read-only, as they do the shared compiled images and designs.
 type Report struct {
 	Options  Options
 	ExitCode int32
@@ -184,8 +191,9 @@ func Run(img *binimg.Image, opts Options) (*Report, error) {
 // simulation, lift (decompile + dopt), synthesis, and assembled-analysis
 // stages through the given cache set. A nil cache set computes everything
 // directly. The returned Report is freshly built either way; only stage
-// products (profiles, lifted functions, designs) are shared with other
-// runs, and those are treated as immutable throughout this package.
+// products (profiles, lifted functions, designs, and the Report's
+// recovery maps) are shared with other runs, and those are treated as
+// immutable throughout this package.
 //
 // RunWith is a thin composition of the two layers of the flow: the
 // platform-independent AnalyzeWith (simulate, lift, synthesize — see

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,9 +52,8 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 		return nil, err
 	}
 	rep.Recovery = lr.Recovery
-	rep.Recovery.FailReasons = copyStringMap(lr.Recovery.FailReasons)
-	rep.DoptReports = copyStringMap(lr.Reports)
-	rep.Outlines = copyStringMap(lr.Outlines)
+	rep.DoptReports = lr.Reports
+	rep.Outlines = lr.Outlines
 
 	sctx := &synthCtx{}
 
@@ -251,5 +252,66 @@ func TestRunWithMatchesMonolithic(t *testing.T) {
 					name, run, wf, gf)
 			}
 		}
+	}
+}
+
+// TestConcurrentEvaluateSharesAnalysis is the contract behind sharing
+// the Analysis maps with every Report instead of copying them: many
+// goroutines evaluating one Analysis at once (as bpartd's workers do)
+// must each get the serial result, while reading — never writing — the
+// same FailReasons, DoptReports, and Outlines maps. Run under -race it
+// catches any write to the shared maps.
+func TestConcurrentEvaluateSharesAnalysis(t *testing.T) {
+	dev := platform.MIPS200.Device
+	points := []Options{DefaultOptions(), DefaultOptions(), DefaultOptions()}
+	points[1].Platform = platform.MIPS(40, dev)
+	points[2].AreaBudgetGates, points[2].Algorithm = 6000, AlgGreedy
+
+	for _, name := range []string{"crc", "routelookup"} {
+		b, _ := bench.ByName(name)
+		img, err := b.Compile(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Without jump-table recovery routelookup's kernel fails to lift,
+		// so its reports carry a FailReasons entry.
+		aopts := DefaultOptions()
+		aopts.RecoverJumpTables = false
+		a, err := Analyze(img, aopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(points))
+		for i, o := range points {
+			rep := Evaluate(a, o.Platform, o.AreaBudgetGates, o.Algorithm)
+			want[i] = fullFingerprint(rep)
+			if reflect.ValueOf(rep.Outlines).UnsafePointer() != reflect.ValueOf(a.Outlines).UnsafePointer() ||
+				reflect.ValueOf(rep.Recovery.FailReasons).UnsafePointer() != reflect.ValueOf(a.Recovery.FailReasons).UnsafePointer() ||
+				reflect.ValueOf(rep.DoptReports).UnsafePointer() != reflect.ValueOf(a.DoptReports).UnsafePointer() {
+				t.Fatalf("%s: Evaluate copied the Analysis maps", name)
+			}
+		}
+		if name == "routelookup" && len(a.Recovery.FailReasons) == 0 {
+			t.Fatalf("routelookup recorded no recovery failure to share")
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := 0; n < 10; n++ {
+					i := (g + n) % len(points)
+					o := points[i]
+					rep := Evaluate(a, o.Platform, o.AreaBudgetGates, o.Algorithm)
+					RenderReport(rep, true)
+					if got := fullFingerprint(rep); got != want[i] {
+						t.Errorf("%s point %d: concurrent Evaluate differs from serial:\n%s\nvs\n%s", name, i, got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

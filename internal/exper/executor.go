@@ -214,7 +214,7 @@ func (r *Runner) compile(j rowJob, sc *obs.Scope) (*binimg.Image, error) {
 	defer sp.End()
 	if r.Caches != nil && r.Caches.Compile != nil {
 		img, out, err := r.Caches.Compile.GetOrComputeOutcome(
-			bench.CompileKey(j.bench.Source, j.level),
+			j.bench.CompileKey(j.level),
 			func() (*binimg.Image, error) { return j.bench.Compile(j.level) })
 		sp.SetOutcome(out)
 		return img, err

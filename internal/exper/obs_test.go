@@ -1,10 +1,12 @@
 package exper
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -83,7 +85,11 @@ func TestTracedSweepMatchesUntraced(t *testing.T) {
 	if got.Format() != plain.Format() {
 		t.Errorf("tracing changed the table:\n--- untraced ---\n%s--- traced ---\n%s", plain.Format(), got.Format())
 	}
-	if len(traced.Obs.Spans()) == 0 {
+	spans := 0
+	for _, st := range traced.Obs.StageTotals() {
+		spans += st.Spans
+	}
+	if spans == 0 {
 		t.Error("traced run recorded no spans")
 	}
 }
@@ -124,15 +130,24 @@ func TestParallelSpanCountsMatchSerial(t *testing.T) {
 
 // TestManifestReconciliation is the unified-accounting property test: on
 // a shared-recorder 8-worker sweep, the manifest's cache section must be
-// exactly the -stats snapshot, its span total must equal the recorder's,
-// and per stage the span outcomes must sum to the corresponding cache's
+// exactly the -stats snapshot, its span total must equal the number of
+// span lines the recorder streamed, and per stage the span outcomes must sum to the corresponding cache's
 // counters (hits = hit + wait + disk spans, misses = miss + corrupt
 // spans). Run under -race this doubles as the recorder's concurrency test.
 func TestManifestReconciliation(t *testing.T) {
 	caches := core.NewCaches()
 	r := NewRunner(8, caches)
 	r.Obs = obs.NewRecorder()
+	var stream bytes.Buffer
+	r.Obs.StreamTo(&stream)
 	if _, err := r.Table3(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Obs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := obs.ParseTrace(&stream)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,8 +157,8 @@ func TestManifestReconciliation(t *testing.T) {
 	if fmt.Sprint(m.Caches) != fmt.Sprint(statsMap) {
 		t.Errorf("manifest caches %v != stats map %v", m.Caches, statsMap)
 	}
-	if got := len(r.Obs.Spans()); m.Spans != got {
-		t.Errorf("manifest spans = %d, recorder has %d", m.Spans, got)
+	if got := len(tf.Spans); m.Spans != got {
+		t.Errorf("manifest spans = %d, recorder streamed %d", m.Spans, got)
 	}
 
 	for _, st := range m.Stages {
@@ -160,6 +175,36 @@ func TestManifestReconciliation(t *testing.T) {
 			t.Errorf("%s: span misses %d (miss %d + corrupt %d) != cache %q misses %d",
 				st.Stage, got, st.Miss, st.Corrupt, cacheName, want)
 		}
+	}
+}
+
+// TestLiveTotalsMatchTraceFile is the online-vs-offline oracle for the
+// recorder's live fold: on an 8-worker traced T1 sweep, re-aggregating
+// the parsed JSONL stream must reproduce the live StageTotals exactly,
+// latency histograms included. Under -race it also audits the fold's
+// locking against the concurrent workers.
+func TestLiveTotalsMatchTraceFile(t *testing.T) {
+	r := NewRunner(8, core.NewCaches())
+	r.Obs = obs.NewRecorder()
+	var stream bytes.Buffer
+	r.Obs.StreamTo(&stream)
+	if _, err := r.Table1(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Obs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := obs.ParseTrace(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := r.Obs.StageTotals()
+	offline := obs.AggregateRecords(tf.Spans)
+	if len(live) == 0 {
+		t.Fatal("traced sweep recorded no spans")
+	}
+	if !reflect.DeepEqual(live, offline) {
+		t.Errorf("live totals differ from the trace file's:\n live    %+v\n offline %+v", live, offline)
 	}
 }
 

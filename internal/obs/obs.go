@@ -1,7 +1,7 @@
 // Package obs is the pipeline's observability layer: stage-scoped spans,
 // per-stage aggregation, run manifests, and a debug HTTP listener.
 //
-// A Recorder collects Spans — one per pipeline stage execution, tagged
+// A Recorder observes Spans — one per pipeline stage execution, tagged
 // with the benchmark, optimization level, worker id, wall time, cache
 // outcome, and the stage's key counters — from the flow (core.Analyze /
 // core.Evaluate), the content-addressed stage caches, and the experiment
@@ -11,11 +11,13 @@
 // pointer test when it is off. The cmd/benchjson Stage* allocs/op gates
 // hold the disabled path to zero overhead.
 //
-// Spans surface three ways: streamed as JSONL while the run executes
-// (-trace), aggregated into a per-stage table at exit (-stats), and
-// folded into a run manifest written alongside sweep output (-manifest,
-// see manifest.go). For long sweeps, ServeDebug (debug.go) exposes the
-// same aggregates over expvar plus net/pprof.
+// The recorder keeps no span: each one is folded into its stage's live
+// total the moment it ends, so its memory is O(stages) however long the
+// process runs. Per-span data exists only in the JSONL stream (-trace),
+// written as the run executes. The totals surface as a per-stage table
+// at exit (-stats) and in a run manifest written alongside sweep output
+// (-manifest, see manifest.go); for long sweeps and daemons, ServeDebug
+// (debug.go) exposes them over expvar and /metrics, next to net/pprof.
 package obs
 
 import (
@@ -132,7 +134,7 @@ func (s *Span) End() {
 	now := time.Now()
 	s.Dur = now.Sub(s.begin)
 	s.Start = s.begin.Sub(s.rec.epoch)
-	s.rec.emit(*s)
+	s.rec.emit(s)
 }
 
 // Scope carries the attribution attributes — benchmark, opt level, worker
@@ -160,15 +162,16 @@ func (s *Scope) Start(stage string) Span {
 	}
 }
 
-// Recorder collects spans from a run. Safe for concurrent use by every
-// worker of a sweep. The zero value is not usable; create with
+// Recorder folds a run's spans into per-stage totals, and streams each
+// one as a trace line when StreamTo is set. Safe for concurrent use by
+// every worker of a sweep. The zero value is not usable; create with
 // NewRecorder. A nil *Recorder is the disabled fast path.
 type Recorder struct {
 	epoch time.Time
 
 	mu        sync.Mutex
 	traceID   string
-	spans     []Span
+	totals    stageTotals
 	bw        *bufio.Writer
 	enc       *json.Encoder
 	streamErr error
@@ -178,7 +181,7 @@ type Recorder struct {
 // mints a random 128-bit run identifier that tags the trace stream's
 // header and the run manifest, so the two can be matched up later.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now(), traceID: newTraceID()}
+	return &Recorder{epoch: time.Now(), traceID: newTraceID(), totals: stageTotals{}}
 }
 
 // newTraceID mints a random 128-bit run identifier as lowercase hex.
@@ -317,40 +320,18 @@ func toRecord(s *Span) SpanRecord {
 	}
 }
 
-func (r *Recorder) emit(sp Span) {
+// emit folds a finished span into its stage's running total and, when
+// streaming, writes its trace line. The fold goes through the same
+// SpanRecord form a trace file holds, so live and file-read totals agree
+// to the microsecond.
+func (r *Recorder) emit(sp *Span) {
+	rec := toRecord(sp)
 	r.mu.Lock()
-	r.spans = append(r.spans, sp)
+	r.totals.add(&rec)
 	if r.enc != nil {
-		r.encodeLocked(toRecord(&sp))
+		r.encodeLocked(rec)
 	}
 	r.mu.Unlock()
-}
-
-// Records renders every recorded span as its trace-line form — what
-// StageTotals aggregates and the shutdown reconciliation checks.
-func (r *Recorder) Records() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanRecord, len(r.spans))
-	for i := range r.spans {
-		out[i] = toRecord(&r.spans[i])
-	}
-	return out
-}
-
-// Spans returns a snapshot copy of every span recorded so far.
-func (r *Recorder) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
 }
 
 // StageTotal aggregates every span of one stage: span count, total wall
@@ -394,37 +375,57 @@ func (st *StageTotal) countOutcome(outcome string) {
 	}
 }
 
-// AggregateRecords folds trace lines into per-stage totals, in pipeline
-// order (unknown stages after, by name). It serves both the live
-// recorder (via StageTotals) and trace files read back from disk, which
-// exist only in SpanRecord form.
-func AggregateRecords(records []SpanRecord) []StageTotal {
-	byStage := map[string]*StageTotal{}
-	for i := range records {
-		sp := &records[i]
-		st := byStage[sp.Stage]
-		if st == nil {
-			st = &StageTotal{Stage: sp.Stage}
-			byStage[sp.Stage] = st
-		}
-		st.Spans++
-		st.WallUS += sp.DurUS
-		st.Latency.Observe(time.Duration(sp.DurUS) * time.Microsecond)
-		st.countOutcome(sp.Cache)
-		st.Instrs += sp.Instrs
-		st.Regions += sp.Regions
-		st.Selected += sp.Selected
-	}
+// add folds one span into the total. It is the only fold: the live
+// recorder and AggregateRecords (trace files read back from disk) both
+// observe a span through its SpanRecord form, so the latency histogram
+// sees the same integer-microsecond duration either way.
+func (st *StageTotal) add(sp *SpanRecord) {
+	st.Spans++
+	st.WallUS += sp.DurUS
+	st.Latency.Observe(time.Duration(sp.DurUS) * time.Microsecond)
+	st.countOutcome(sp.Cache)
+	st.Instrs += sp.Instrs
+	st.Regions += sp.Regions
+	st.Selected += sp.Selected
+}
 
-	out := make([]StageTotal, 0, len(byStage))
-	for _, st := range byStage {
-		st.P50US = st.Latency.QuantileUS(0.50)
-		st.P90US = st.Latency.QuantileUS(0.90)
-		st.P99US = st.Latency.QuantileUS(0.99)
-		out = append(out, *st)
+// stageTotals is a running per-stage fold, keyed by stage name.
+type stageTotals map[string]*StageTotal
+
+func (m stageTotals) add(sp *SpanRecord) {
+	st := m[sp.Stage]
+	if st == nil {
+		st = &StageTotal{Stage: sp.Stage}
+		m[sp.Stage] = st
+	}
+	st.add(sp)
+}
+
+// snapshot copies the totals out with their percentiles resolved, in
+// pipeline order (unknown stages after, by name).
+func (m stageTotals) snapshot() []StageTotal {
+	out := make([]StageTotal, 0, len(m))
+	for _, st := range m {
+		t := *st
+		t.P50US = t.Latency.QuantileUS(0.50)
+		t.P90US = t.Latency.QuantileUS(0.90)
+		t.P99US = t.Latency.QuantileUS(0.99)
+		out = append(out, t)
 	}
 	sortStageTotals(out)
 	return out
+}
+
+// AggregateRecords folds trace lines into per-stage totals, in pipeline
+// order (unknown stages after, by name): the offline view of a trace
+// file, identical to what the live recorder's StageTotals reported for
+// the same spans.
+func AggregateRecords(records []SpanRecord) []StageTotal {
+	m := stageTotals{}
+	for i := range records {
+		m.add(&records[i])
+	}
+	return m.snapshot()
 }
 
 // sortStageTotals orders totals pipeline-first, unknown stages after by
@@ -444,13 +445,17 @@ func sortStageTotals(out []StageTotal) {
 	})
 }
 
-// StageTotals aggregates the recorded spans per stage, in pipeline order
-// (unknown stages after, by name). A nil recorder returns nil.
+// StageTotals snapshots the live per-stage totals, in pipeline order
+// (unknown stages after, by name). It costs O(stages), not O(spans), so
+// a /metrics scrape of a long-lived daemon stays cheap. A nil recorder
+// returns nil.
 func (r *Recorder) StageTotals() []StageTotal {
 	if r == nil {
 		return nil
 	}
-	return AggregateRecords(r.Records())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.totals.snapshot()
 }
 
 // Table renders the per-stage aggregation as the -stats text table.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,8 @@ import (
 // a safe no-op.
 func TestNilDisabledPath(t *testing.T) {
 	var rec *Recorder
+	var stream bytes.Buffer
+	rec.StreamTo(&stream)
 	sc := rec.Scope("bench", 2, 1)
 	if sc != nil {
 		t.Fatalf("nil recorder returned a live scope")
@@ -33,16 +36,15 @@ func TestNilDisabledPath(t *testing.T) {
 	sp.SetSelected(3)
 	sp.End()
 
-	if got := rec.Spans(); got != nil {
-		t.Errorf("nil recorder spans = %v", got)
+	if err := rec.Flush(); err != nil {
+		t.Errorf("nil recorder flush = %v", err)
+	}
+	if stream.Len() != 0 {
+		t.Errorf("nil recorder streamed %q", stream.String())
 	}
 	if got := rec.StageTotals(); got != nil {
 		t.Errorf("nil recorder totals = %v", got)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Errorf("nil recorder flush = %v", err)
-	}
-	rec.StreamTo(&bytes.Buffer{})
 }
 
 // TestDisabledPathAllocs pins the contract the Stage* benchmark gates
@@ -63,11 +65,57 @@ func TestDisabledPathAllocs(t *testing.T) {
 	}
 }
 
+// TestEnabledSpanEndAllocs pins the live fold's hot path: with a
+// recorder attached but no trace stream, ending a span folds it into its
+// stage total without allocating.
+func TestEnabledSpanEndAllocs(t *testing.T) {
+	sc := NewRecorder().Scope("bench", 2, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := sc.Start(StageSim)
+		sp.SetOutcome(cache.OutcomeMiss)
+		sp.SetEngine("fused")
+		sp.SetInstrs(42)
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled Span.End allocates %.0f per run, want 0", allocs)
+	}
+}
+
+// TestRecorderMemoryBounded pins the recorder's O(stages) memory: a
+// daemon-sized run of 200k spans without a trace stream must leave the
+// live heap (after a GC) within 1 MiB of where it started.
+func TestRecorderMemoryBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	rec := NewRecorder()
+	sc := rec.Scope("crc", 1, 0)
+	stages := []string{StageJob, StageCompile, StageAnalyze, StageEvaluate}
+	for i := 0; i < 200_000; i++ {
+		sp := sc.Start(stages[i%len(stages)])
+		sp.SetOutcome(cache.OutcomeHit)
+		sp.End()
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if delta := int64(after.HeapAlloc) - int64(before.HeapAlloc); delta > 1<<20 {
+		t.Errorf("200k spans grew the live heap by %d bytes, want < 1 MiB", delta)
+	}
+	if got := rec.StageTotals(); len(got) != len(stages) || got[0].Spans != 50_000 {
+		t.Errorf("totals = %+v", got)
+	}
+}
+
 // TestSpanRecordingAndAggregation drives a recorder through a synthetic
 // two-benchmark run and checks the per-stage totals, ordering, and the
 // rendered table.
 func TestSpanRecordingAndAggregation(t *testing.T) {
 	rec := NewRecorder()
+	var stream bytes.Buffer
+	rec.StreamTo(&stream)
 	a := rec.Scope("fir", 0, 0)
 	b := rec.Scope("brev", 2, 1)
 
@@ -90,7 +138,14 @@ func TestSpanRecordingAndAggregation(t *testing.T) {
 	sp.SetSelected(2)
 	sp.End()
 
-	spans := rec.Spans()
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := ParseTrace(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tf.Spans
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4", len(spans))
 	}

@@ -82,14 +82,15 @@ func ReadTrace(path string) (*TraceFile, error) {
 		defer gz.Close()
 		r = gz
 	}
-	tf, err := parseTrace(r)
+	tf, err := ParseTrace(r)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tf, nil
 }
 
-func parseTrace(r io.Reader) (*TraceFile, error) {
+// ParseTrace parses a trace stream (see ReadTrace) from r.
+func ParseTrace(r io.Reader) (*TraceFile, error) {
 	tf := &TraceFile{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -143,21 +144,27 @@ var CacheForStage = map[string]string{
 }
 
 // Reconcile checks the trace's span outcomes against its cache
-// accounting: for every stage with a cache, spans tagged hit+wait+disk
-// must equal the cache's Hits, and miss+corrupt its Misses. A mismatch
-// means spans or stats were dropped in flight.
+// accounting trailer (see ReconcileTotals).
 func (tf *TraceFile) Reconcile() error {
 	if tf.Caches == nil {
 		return fmt.Errorf("reconcile: trace has no cache accounting trailer")
 	}
-	totals := AggregateRecords(tf.Spans)
+	return ReconcileTotals(AggregateRecords(tf.Spans), tf.Caches)
+}
+
+// ReconcileTotals checks per-stage span outcomes against the cache
+// counters: for every stage with a cache, spans tagged hit+wait+disk
+// must equal the cache's Hits, and miss+corrupt its Misses. A mismatch
+// means spans or stats were dropped in flight. The totals may come from
+// a live recorder (StageTotals) or a trace file read back from disk.
+func ReconcileTotals(totals []StageTotal, caches map[string]cache.Stats) error {
 	var problems []string
 	for _, st := range totals {
 		key := CacheForStage[st.Stage]
 		if key == "" {
 			continue
 		}
-		cs, ok := tf.Caches[key]
+		cs, ok := caches[key]
 		if !ok {
 			continue
 		}

@@ -163,8 +163,7 @@ func (s *Session) Close(interrupted bool) error {
 		}
 	}
 	if s.Rec != nil && s.Caches != nil {
-		tf := &obs.TraceFile{Trace: s.Rec.TraceID(), Spans: s.Rec.Records(), Caches: stats}
-		if err := tf.Reconcile(); err != nil {
+		if err := obs.ReconcileTotals(s.Rec.StageTotals(), stats); err != nil {
 			errs = append(errs, err)
 		}
 	}
