@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench experiments obs-smoke corpus-smoke engine-smoke bpartd-smoke
+.PHONY: build test race vet check bench bench-ab experiments obs-smoke corpus-smoke engine-smoke bpartd-smoke
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,16 @@ bench:
 	@if [ -f BENCH.json ]; then cp BENCH.json .bench-baseline.json; fi
 	$(GO) test -run NONE -bench . -benchmem -count 3 . | $(GO) run ./cmd/benchjson -o BENCH.json -baseline .bench-baseline.json
 	@rm -f .bench-baseline.json
+
+# Same-host A/B of the end-to-end benchmark (perfbench) against a base
+# revision from local git history: alternating pairs, each run printed
+# with its host steal share, then per-metric medians, quartiles and win
+# counts. Example: make bench-ab BASE=HEAD~1 WORKLOAD=suite-cold PAIRS=10
+WORKLOAD ?= suite-cold
+PAIRS ?= 10
+SEED ?= 21
+bench-ab:
+	bash scripts/perfbench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"
 
 experiments:
 	$(GO) run ./cmd/experiments -j 8 -cachestats

@@ -24,6 +24,7 @@ import (
 	"binpart/internal/mcc"
 	"binpart/internal/mips"
 	"binpart/internal/partition"
+	"binpart/internal/progen"
 	"binpart/internal/sim"
 	"binpart/internal/synth"
 )
@@ -150,6 +151,46 @@ func BenchmarkStageCompile(b *testing.B) {
 	bm, _ := bench.ByName("crc")
 	for i := 0; i < b.N; i++ {
 		if _, err := mcc.Compile(bm.Source, mcc.Options{OptLevel: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// longSource is the long-block workload of the Stage*Long benchmarks: one
+// fixed generated straightline program. At -O0, which keeps every local
+// in memory, it compiles to 3.3k text words in a few long basic blocks;
+// at -O2 the TAC propagation and CSE passes run over those blocks. The
+// per-block analyses must stay linear in block length on it.
+func longSource() string {
+	return progen.Generate(262, progen.StraightlineConfig()).Source
+}
+
+// BenchmarkStageCompileLong measures -O2 compilation of the long-block
+// program.
+func BenchmarkStageCompileLong(b *testing.B) {
+	src := longSource()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mcc.Compile(src, mcc.Options{OptLevel: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStageAnalyzeLong measures the uncached platform-independent
+// flow (simulate, decompile, dopt, alias, synthesize every candidate) on
+// the long-block program's -O0 image.
+func BenchmarkStageAnalyzeLong(b *testing.B) {
+	img, err := mcc.Compile(longSource(), mcc.Options{OptLevel: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(img.Text) < 3000 {
+		b.Fatalf("long-block program has %d text words, want about 3k", len(img.Text))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Analyze(img, core.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func analyzed(t *testing.T, src, fn string) (*Info, *ir.Func) {
 		t.Fatalf("%s not recovered", fn)
 	}
 	dopt.Optimize(f)
-	return Analyze(f, img), f
+	return Analyze(f, img, ir.FindLoops(f)), f
 }
 
 const twoArrays = `

@@ -186,18 +186,20 @@ func computeAnalysis(img *binimg.Image, opts Options, caches *Caches, sc *obs.Sc
 			sctx.sig = funcSignature(f)
 		}
 		extents := blockExtents(f, img)
+		loops := ir.FindLoops(f)
+		sctx.enter(f, img, loops)
 		if opts.Granularity == GranFunctions {
-			rc, err := buildFuncCandidate(f, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildFuncCandidate(f, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
 			if err == nil && rc != nil {
 				a.Candidates = append(a.Candidates, rc)
 			}
 			continue
 		}
-		for _, l := range ir.FindLoops(f) {
+		for _, l := range loops {
 			if l.Depth != 1 || !synthesizable(l) {
 				continue
 			}
-			rc, err := buildCandidate(f, l, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildCandidate(f, l, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
 			if err != nil || rc == nil {
 				continue
 			}

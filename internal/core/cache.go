@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"binpart/internal/alias"
 	"binpart/internal/binimg"
 	"binpart/internal/cache"
 	"binpart/internal/decompile"
@@ -249,9 +250,9 @@ func funcSignature(f *ir.Func) cache.Key {
 	return h.Sum()
 }
 
-// synthCtx threads the synthesis cache and the observability scope
-// through candidate construction. The zero/nil context synthesizes
-// directly and records nothing.
+// synthCtx threads the synthesis cache, the observability scope and the
+// current function's analysis facts through candidate construction. The
+// zero context synthesizes directly and records nothing.
 type synthCtx struct {
 	caches *Caches
 	imgKey cache.Key
@@ -260,6 +261,35 @@ type synthCtx struct {
 	sig cache.Key
 	// obs attributes per-region synth spans to the current sweep point.
 	obs *obs.Scope
+
+	// fn and img identify the function whose candidates are being built,
+	// and facts holds its loop nest and alias facts: every candidate, its
+	// footprint and its synthesis read the same ones. The alias facts are
+	// computed on first use, so only a function none of whose candidates
+	// reaches synthesis skips them.
+	fn    *ir.Func
+	img   *binimg.Image
+	facts synth.Facts
+}
+
+// enter starts candidate construction for f, whose loop nest is loops.
+func (sc *synthCtx) enter(f *ir.Func, img *binimg.Image, loops []*ir.Loop) {
+	sc.fn, sc.img = f, img
+	sc.facts = synth.Facts{Loops: loops}
+}
+
+// alias returns the current function's alias facts.
+func (sc *synthCtx) alias() *alias.Info {
+	if sc.facts.Alias == nil {
+		sc.facts.Alias = alias.Analyze(sc.fn, sc.img, sc.facts.Loops)
+	}
+	return sc.facts.Alias
+}
+
+// funcFacts returns the current function's synthesis facts.
+func (sc *synthCtx) funcFacts() *synth.Facts {
+	sc.alias()
+	return &sc.facts
 }
 
 // synthesize is synth.Synthesize behind the content-addressed cache. The
@@ -267,15 +297,13 @@ type synthCtx struct {
 // (alias analysis and block-RAM sizing read the symbol table), and the
 // synthesis options; the platform's CPU clock and FPGA device are
 // deliberately excluded — synthesis is platform-independent, which is
-// what makes the clock and area sweeps nearly free on a warm cache.
-func (sc *synthCtx) synthesize(r synth.Region, img *binimg.Image, opts synth.Options) (*synth.Design, error) {
-	if sc == nil || sc.caches == nil || sc.caches.Synth == nil {
-		var scope *obs.Scope
-		if sc != nil {
-			scope = sc.obs
-		}
-		sp := scope.Start(obs.StageSynth)
-		d, err := synth.Synthesize(r, img, opts)
+// what makes the clock and area sweeps nearly free on a warm cache. The
+// function's loop nest and alias facts are derived from the CDFG and the
+// image, so the key already covers them.
+func (sc *synthCtx) synthesize(r synth.Region, opts synth.Options) (*synth.Design, error) {
+	if sc.caches == nil || sc.caches.Synth == nil {
+		sp := sc.obs.Start(obs.StageSynth)
+		d, err := synth.SynthesizeWith(r, sc.img, opts, sc.funcFacts())
 		sp.End()
 		return d, err
 	}
@@ -297,7 +325,7 @@ func (sc *synthCtx) synthesize(r synth.Region, img *binimg.Image, opts synth.Opt
 	hashSynthOptions(h, opts)
 	sp := sc.obs.Start(obs.StageSynth)
 	d, out, err := sc.caches.Synth.GetOrComputeOutcome(h.Sum(), func() (*synth.Design, error) {
-		return synth.Synthesize(r, img, opts)
+		return synth.SynthesizeWith(r, sc.img, opts, sc.funcFacts())
 	})
 	sp.SetOutcome(out)
 	sp.End()

@@ -22,7 +22,6 @@ package core
 import (
 	"time"
 
-	"binpart/internal/alias"
 	"binpart/internal/binimg"
 	"binpart/internal/dopt"
 	"binpart/internal/ir"
@@ -219,8 +218,8 @@ func RunScoped(img *binimg.Image, opts Options, caches *Caches, sc *obs.Scope) (
 
 // buildFuncCandidate synthesizes an entire call-free function as one
 // hardware region.
-func buildFuncCandidate(f *ir.Func, img *binimg.Image,
-	extents map[int][2]uint32, prof *sim.Profile, cycAt map[uint32]uint64,
+func buildFuncCandidate(f *ir.Func, extents map[int][2]uint32,
+	prof *sim.Profile, cycAt map[uint32]uint64,
 	rerollFactors map[int]int, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
 
 	for _, b := range f.Blocks {
@@ -251,12 +250,11 @@ func buildFuncCandidate(f *ir.Func, img *binimg.Image,
 	if invocations == 0 {
 		invocations = 1
 	}
-	d, err := sctx.synthesize(synth.FuncRegion(f), img, opts.Synth)
+	d, err := sctx.synthesize(synth.FuncRegion(f), opts.Synth)
 	if err != nil {
 		return nil, err
 	}
-	am := alias.Analyze(f, img)
-	fp, _ := am.FuncFootprint(f)
+	fp, _ := sctx.alias().FuncFootprint(f)
 	return &RegionCandidate{
 		Name:        d.Name,
 		Func:        f.Name,
@@ -308,8 +306,8 @@ func blockExtents(f *ir.Func, img *binimg.Image) map[int][2]uint32 {
 
 // buildCandidate synthesizes one loop region and gathers its profile
 // numbers.
-func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
-	extents map[int][2]uint32, prof *sim.Profile, cycAt map[uint32]uint64,
+func buildCandidate(f *ir.Func, l *ir.Loop, extents map[int][2]uint32,
+	prof *sim.Profile, cycAt map[uint32]uint64,
 	rerollFactors map[int]int, opts Options, sctx *synthCtx) (*RegionCandidate, error) {
 
 	// Software cycles and block execution counts from the profile.
@@ -366,12 +364,11 @@ func buildCandidate(f *ir.Func, l *ir.Loop, img *binimg.Image,
 		invocations = headerExecs - backFlow
 	}
 
-	d, err := sctx.synthesize(synth.LoopRegion(f, l), img, opts.Synth)
+	d, err := sctx.synthesize(synth.LoopRegion(f, l), opts.Synth)
 	if err != nil {
 		return nil, err
 	}
-	am := alias.Analyze(f, img)
-	fp, _ := am.Footprint(l.Blocks)
+	fp, _ := sctx.alias().Footprint(l.Blocks)
 
 	return &RegionCandidate{
 		Name:        d.Name,

@@ -88,18 +88,20 @@ func runMonolithic(img *binimg.Image, opts Options) (*Report, error) {
 			continue
 		}
 		extents := blockExtents(f, img)
+		loops := ir.FindLoops(f)
+		sctx.enter(f, img, loops)
 		if opts.Granularity == GranFunctions {
-			rc, err := buildFuncCandidate(f, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildFuncCandidate(f, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
 			if err == nil && rc != nil {
 				addCand(rc)
 			}
 			continue
 		}
-		for _, l := range ir.FindLoops(f) {
+		for _, l := range loops {
 			if l.Depth != 1 || !synthesizable(l) {
 				continue
 			}
-			rc, err := buildCandidate(f, l, img, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
+			rc, err := buildCandidate(f, l, extents, res.Profile, cycAt, lr.Factors[f.Name], opts, sctx)
 			if err != nil || rc == nil {
 				continue
 			}

@@ -32,13 +32,10 @@ func ConstProp(f *ir.Func) int {
 	// of clearing (or reallocating) the bindings, and a binding counts
 	// only if its stamp matches the current epoch. ConstProp runs inside
 	// Cleanup's fixpoint, so keeping this loop allocation-light matters.
-	env := constEnv{
-		val:   make([]ir.Arg, locSpace(f)),
-		stamp: make([]uint32, locSpace(f)),
-	}
+	env := newConstEnv(f)
 	changed := 0
 	for _, b := range f.Blocks {
-		env.epoch++
+		env.enter()
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			beforeOp, beforeA, beforeB := in.Op, in.A, in.B
@@ -74,11 +71,49 @@ func ConstProp(f *ir.Func) int {
 }
 
 // constEnv is ConstProp's per-block binding environment: location ->
-// known Arg, valid only while the stamp matches the current epoch.
+// known Arg, valid only while the stamp matches the current epoch. Each
+// location also heads a list, kept in one arena, of the copy bindings
+// that read it, so redefining a location visits only those bindings
+// instead of scanning the whole location space.
 type constEnv struct {
-	val   []ir.Arg
-	stamp []uint32
+	loc   []locEnv
+	arena []copyLink
 	epoch uint32
+}
+
+// locEnv is one location's binding and the head of its reader list
+// (an arena index, or -1), each valid while its stamp matches the epoch.
+type locEnv struct {
+	val       ir.Arg
+	stamp     uint32
+	head      int32
+	headStamp uint32
+}
+
+// copyLink is one arena entry: location reader holds a copy of the
+// list's location.
+type copyLink struct {
+	reader ir.Loc
+	next   int32
+}
+
+// newConstEnv sizes the environment for f. A block binds at most one
+// copy per instruction, so the arena never outgrows the longest block.
+func newConstEnv(f *ir.Func) constEnv {
+	longest := 0
+	for _, b := range f.Blocks {
+		longest = max(longest, len(b.Instrs))
+	}
+	return constEnv{
+		loc:   make([]locEnv, f.LocSpace()),
+		arena: make([]copyLink, 0, longest),
+	}
+}
+
+// enter starts a new block: every binding and reader list goes stale.
+func (e *constEnv) enter() {
+	e.epoch++
+	e.arena = e.arena[:0]
 }
 
 func (e *constEnv) sub(a ir.Arg) ir.Arg {
@@ -88,24 +123,40 @@ func (e *constEnv) sub(a ir.Arg) ir.Arg {
 	if a.Loc == ir.RegZero {
 		return ir.C(0)
 	}
-	if e.stamp[a.Loc] == e.epoch {
-		return e.val[a.Loc]
+	if le := &e.loc[a.Loc]; le.stamp == e.epoch {
+		return le.val
 	}
 	return a
 }
 
 func (e *constEnv) define(l ir.Loc, a ir.Arg) {
-	e.val[l] = a
-	e.stamp[l] = e.epoch
+	le := &e.loc[l]
+	le.val, le.stamp = a, e.epoch
+	if a.IsConst {
+		return
+	}
+	src := &e.loc[a.Loc]
+	next := int32(-1)
+	if src.headStamp == e.epoch {
+		next = src.head
+	}
+	src.head, src.headStamp = int32(len(e.arena)), e.epoch
+	e.arena = append(e.arena, copyLink{reader: l, next: next})
 }
 
 // invalidate drops the binding for l and every copy binding that reads
 // it.
 func (e *constEnv) invalidate(l ir.Loc) {
-	e.stamp[l] = 0
-	for k := range e.val {
-		if e.stamp[k] == e.epoch && !e.val[k].IsConst && e.val[k].Loc == l {
-			e.stamp[k] = 0
+	le := &e.loc[l]
+	le.stamp = 0
+	if le.headStamp != e.epoch {
+		return
+	}
+	le.headStamp = 0
+	for n := le.head; n >= 0; n = e.arena[n].next {
+		r := &e.loc[e.arena[n].reader]
+		if r.stamp == e.epoch && !r.val.IsConst && r.val.Loc == l {
+			r.stamp = 0
 		}
 	}
 }
@@ -323,7 +374,7 @@ func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
 // share one backing allocation; treat them as read-only.
 func abiLiveness(f *ir.Func) (liveIn, liveOut []locSet) {
 	n := len(f.Blocks)
-	sets, scratch := newLocSets(2*n, 1, locSpace(f))
+	sets, scratch := newLocSets(2*n, 1, f.LocSpace())
 	liveIn, liveOut = sets[:n], sets[n:]
 	live := scratch[0]
 	var ub [2]ir.Loc
@@ -385,7 +436,7 @@ var haltUses = []ir.Loc{ir.RegV0}
 func DeadCode(f *ir.Func) int {
 	// Block-level liveness with ABI uses folded in.
 	n := len(f.Blocks)
-	liveIn, scratch := newLocSets(n, 1, locSpace(f))
+	liveIn, scratch := newLocSets(n, 1, f.LocSpace())
 	live := scratch[0]
 	var ub [2]ir.Loc
 	for changed := true; changed; {

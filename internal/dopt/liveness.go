@@ -30,31 +30,6 @@ func (s locSet) or(t locSet) bool {
 	return changed
 }
 
-// locSpace returns the size of f's location space: one past the largest
-// location any instruction references, covering physical registers,
-// HI/LO, and every virtual location passes have allocated.
-func locSpace(f *ir.Func) int {
-	max := ir.FirstVirtual
-	if f.NextLoc > max {
-		max = f.NextLoc
-	}
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.HasDst() && in.Dst >= max {
-				max = in.Dst + 1
-			}
-			if !in.A.IsConst && in.A.Loc >= max {
-				max = in.A.Loc + 1
-			}
-			if !in.B.IsConst && in.B.Loc >= max {
-				max = in.B.Loc + 1
-			}
-		}
-	}
-	return int(max)
-}
-
 // newLocSets carves n+extra bitsets for a location space of size space
 // out of one backing allocation. The first n are returned as a slice;
 // scratch sets follow at indices n..n+extra-1 of the second return.

@@ -372,6 +372,32 @@ func (f *Func) Reindex() {
 	}
 }
 
+// LocSpace returns the size of f's location space: one past the largest
+// location any instruction references, covering physical registers,
+// HI/LO, and every virtual location passes have allocated. Passes size
+// dense per-location arrays with it.
+func (f *Func) LocSpace() int {
+	max := FirstVirtual
+	if f.NextLoc > max {
+		max = f.NextLoc
+	}
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.HasDst() && in.Dst >= max {
+				max = in.Dst + 1
+			}
+			if !in.A.IsConst && in.A.Loc >= max {
+				max = in.A.Loc + 1
+			}
+			if !in.B.IsConst && in.B.Loc >= max {
+				max = in.B.Loc + 1
+			}
+		}
+	}
+	return int(max)
+}
+
 // NumInstrs counts instructions across all blocks.
 func (f *Func) NumInstrs() int {
 	n := 0

@@ -14,10 +14,11 @@ func optimize(f *tacFunc, level int) {
 	if level < 1 {
 		return
 	}
+	var env blockEnv
 	for round := 0; round < 4; round++ {
-		propagate(f)
+		env.propagate(f)
 		if level >= 2 {
-			localCSE(f)
+			env.localCSE(f)
 		}
 		simplifyBranches(f)
 		removeUnreachable(f)
@@ -26,7 +27,7 @@ func optimize(f *tacFunc, level int) {
 	if level >= 2 {
 		strengthReduce(f)
 		// Reduction introduces new temps and moves; clean up once more.
-		propagate(f)
+		env.propagate(f)
 		deadCode(f)
 	}
 	pruneDeadTables(f)
@@ -118,37 +119,171 @@ func foldTac(op string, a, b int32) (int32, bool) {
 	}
 }
 
+// blockEnv is the per-block state of propagate and localCSE, sized once
+// per function and reused across blocks and optimization rounds. The
+// bindings are an epoch-stamped dense array over the temp space: entering
+// a block bumps the epoch instead of clearing them, and a binding counts
+// only while its stamp matches. Each temp also heads a list, kept in one
+// arena, of the bindings that mention it, so redefining a temp visits
+// only those bindings instead of scanning all of them — which keeps both
+// passes linear in block length.
+type blockEnv struct {
+	epoch uint32
+	temps []tempEnv
+	arena []userLink
+	// avail maps a localCSE expression to its index in exprs, which
+	// holds the current block's expressions.
+	avail map[cseKey]int32
+	exprs []cseExpr
+}
+
+// tempEnv is one temp's propagate binding (a known constant or copy
+// source) and the head of its user list (an arena index, or -1), each
+// valid while its stamp matches the epoch.
+type tempEnv struct {
+	val    Operand
+	valAt  uint32
+	head   int32
+	headAt uint32
+}
+
+// userLink is one arena entry: binding who mentions the list's temp.
+// who is a temp for propagate and an exprs index for localCSE.
+type userLink struct {
+	who, next int32
+}
+
+// cseExpr is one available expression of the current block: key's value
+// is held in val until a temp the entry mentions is redefined.
+type cseExpr struct {
+	key  cseKey
+	val  Temp
+	live bool
+}
+
+// prepare sizes the environment for f and returns its block ranges. A
+// block adds at most three user links per instruction (localCSE's two
+// operands and result), so the arena never outgrows the longest block.
+func (e *blockEnv) prepare(f *tacFunc) [][2]int {
+	if f.NTemp > len(e.temps) {
+		e.temps = make([]tempEnv, f.NTemp)
+	}
+	ranges := blockRanges(f)
+	longest := 0
+	for _, r := range ranges {
+		longest = max(longest, r[1]-r[0])
+	}
+	if cap(e.arena) < 3*longest {
+		e.arena = make([]userLink, 0, 3*longest)
+	}
+	return ranges
+}
+
+// enter starts a new block: every binding and user list goes stale.
+func (e *blockEnv) enter() {
+	e.epoch++
+	e.arena = e.arena[:0]
+}
+
+// link records that binding who mentions temp t.
+func (e *blockEnv) link(t Temp, who int32) {
+	te := &e.temps[t]
+	next := int32(-1)
+	if te.headAt == e.epoch {
+		next = te.head
+	}
+	te.head, te.headAt = int32(len(e.arena)), e.epoch
+	e.arena = append(e.arena, userLink{who: who, next: next})
+}
+
+// users returns the arena index of t's first user, or -1, and empties
+// t's list: every caller is about to kill each user it visits.
+func (e *blockEnv) users(t Temp) int32 {
+	te := &e.temps[t]
+	if te.headAt != e.epoch {
+		return -1
+	}
+	te.headAt = 0
+	return te.head
+}
+
+// bind records propagate's binding t -> o.
+func (e *blockEnv) bind(t Temp, o Operand) {
+	e.temps[t].val, e.temps[t].valAt = o, e.epoch
+	if !o.IsConst {
+		e.link(o.Temp, int32(t))
+	}
+}
+
+// unbind drops the binding for t and every copy binding that reads t.
+func (e *blockEnv) unbind(t Temp) {
+	e.temps[t].valAt = 0
+	for n := e.users(t); n >= 0; n = e.arena[n].next {
+		k := &e.temps[e.arena[n].who]
+		if k.valAt == e.epoch && !k.val.IsConst && k.val.Temp == t {
+			k.valAt = 0
+		}
+	}
+}
+
+// sub returns the known value of operand o.
+func (e *blockEnv) sub(o Operand) Operand {
+	if !o.IsConst {
+		if te := &e.temps[o.Temp]; te.valAt == e.epoch {
+			return te.val
+		}
+	}
+	return o
+}
+
+// substUses substitutes known values into the pure value uses of in;
+// definitions are left alone.
+func (e *blockEnv) substUses(in *ins) {
+	switch in.Kind {
+	case iMov, iJT:
+		in.A = e.sub(in.A)
+	case iBin, iCBr:
+		in.A = e.sub(in.A)
+		in.B = e.sub(in.B)
+	case iLoad:
+		in.A = e.sub(in.A)
+	case iStore:
+		in.A = e.sub(in.A)
+		in.B = e.sub(in.B)
+	case iCall:
+		for i := range in.Args {
+			in.Args[i] = e.sub(in.Args[i])
+		}
+	case iRet:
+		if in.HasA {
+			in.A = e.sub(in.A)
+		}
+	}
+}
+
 // propagate performs per-block constant and copy propagation plus algebraic
 // simplification and constant folding.
-func propagate(f *tacFunc) {
-	for _, r := range blockRanges(f) {
-		val := make(map[Temp]Operand) // temp -> known const or copy source
-		invalidate := func(t Temp) {
-			delete(val, t)
-			for k, v := range val {
-				if !v.IsConst && v.Temp == t {
-					delete(val, k)
-				}
-			}
-		}
+func (e *blockEnv) propagate(f *tacFunc) {
+	for _, r := range e.prepare(f) {
+		e.enter()
 		for i := r[0]; i < r[1]; i++ {
 			in := &f.Ins[i]
-			in.replaceUses(val)
+			e.substUses(in)
 			if in.Kind == iBin {
 				simplifyBin(in)
 			}
 			if d, ok := in.def(); ok {
-				invalidate(d)
+				e.unbind(d)
 				switch in.Kind {
 				case iMov:
 					if in.A.IsConst || in.A.Temp != d {
-						val[d] = in.A
+						e.bind(d, in.A)
 					}
 				case iBin:
 					if in.A.IsConst && in.B.IsConst {
 						if v, ok := foldTac(in.Op, in.A.Val, in.B.Val); ok {
 							*in = ins{Kind: iMov, Dst: d, A: cnst(v)}
-							val[d] = cnst(v)
+							e.bind(d, cnst(v))
 						}
 					}
 				}
@@ -208,7 +343,7 @@ func simplifyBin(in *ins) {
 	}
 }
 
-// localCSE eliminates repeated pure computations within a block.
+// cseKey identifies a pure computation for localCSE.
 type cseKey struct {
 	op   string
 	kind insKind
@@ -218,16 +353,18 @@ type cseKey struct {
 	slot int
 }
 
-func localCSE(f *tacFunc) {
-	for _, r := range blockRanges(f) {
-		avail := make(map[cseKey]Temp)
-		invalidate := func(t Temp) {
-			for k, v := range avail {
-				if (!k.a.IsConst && k.a.Temp == t) || (!k.b.IsConst && k.b.Temp == t) || v == t {
-					delete(avail, k)
-				}
-			}
-		}
+// localCSE eliminates repeated pure computations within a block.
+func (e *blockEnv) localCSE(f *tacFunc) {
+	ranges := e.prepare(f)
+	longest := cap(e.arena) / 3
+	if e.avail == nil {
+		e.avail = make(map[cseKey]int32, longest)
+	}
+	if cap(e.exprs) < longest {
+		e.exprs = make([]cseExpr, 0, longest)
+	}
+	for _, r := range ranges {
+		e.enter()
 		for i := r[0]; i < r[1]; i++ {
 			in := &f.Ins[i]
 			var key cseKey
@@ -244,21 +381,48 @@ func localCSE(f *tacFunc) {
 				cacheable = true
 			}
 			if cacheable {
-				if t, ok := avail[key]; ok {
-					*in = ins{Kind: iMov, Dst: in.Dst, A: tmp(t)}
+				if x, ok := e.avail[key]; ok && e.exprs[x].live {
+					*in = ins{Kind: iMov, Dst: in.Dst, A: tmp(e.exprs[x].val)}
 					if d, ok := in.def(); ok {
-						invalidate(d)
+						e.killExprs(d)
 					}
 					continue
 				}
 			}
 			if d, ok := in.def(); ok {
-				invalidate(d)
+				e.killExprs(d)
 				if cacheable {
-					avail[key] = d
+					e.addExpr(key, d)
 				}
 			}
 		}
+		for _, x := range e.exprs {
+			delete(e.avail, x.key)
+		}
+		e.exprs = e.exprs[:0]
+	}
+}
+
+// addExpr makes key available in d, linked under every temp the entry
+// mentions. Address keys carry zero operands, which name temp 0, so
+// redefining temp 0 kills them too.
+func (e *blockEnv) addExpr(key cseKey, d Temp) {
+	x := int32(len(e.exprs))
+	e.exprs = append(e.exprs, cseExpr{key: key, val: d, live: true})
+	e.avail[key] = x
+	if !key.a.IsConst {
+		e.link(key.a.Temp, x)
+	}
+	if !key.b.IsConst {
+		e.link(key.b.Temp, x)
+	}
+	e.link(d, x)
+}
+
+// killExprs drops every available expression that reads or is held in t.
+func (e *blockEnv) killExprs(t Temp) {
+	for n := e.users(t); n >= 0; n = e.arena[n].next {
+		e.exprs[e.arena[n].who].live = false
 	}
 }
 

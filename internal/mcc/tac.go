@@ -210,37 +210,3 @@ func (in *ins) def() (Temp, bool) {
 	}
 	return 0, false
 }
-
-// replaceUses substitutes temp uses via the given map (temp -> operand).
-// Only pure value uses are replaced; definitions are left alone.
-func (in *ins) replaceUses(m map[Temp]Operand) {
-	sub := func(o Operand) Operand {
-		if o.IsConst {
-			return o
-		}
-		if r, ok := m[o.Temp]; ok {
-			return r
-		}
-		return o
-	}
-	switch in.Kind {
-	case iMov, iJT:
-		in.A = sub(in.A)
-	case iBin, iCBr:
-		in.A = sub(in.A)
-		in.B = sub(in.B)
-	case iLoad:
-		in.A = sub(in.A)
-	case iStore:
-		in.A = sub(in.A)
-		in.B = sub(in.B)
-	case iCall:
-		for i := range in.Args {
-			in.Args[i] = sub(in.Args[i])
-		}
-	case iRet:
-		if in.HasA {
-			in.A = sub(in.A)
-		}
-	}
-}

@@ -94,6 +94,24 @@ func BranchyConfig() Config {
 	return Config{MaxStmts: 10, MaxDepth: 1, MaxLoops: 2, Arrays: true, Branchy: true}
 }
 
+// Shape is a named generator configuration.
+type Shape struct {
+	Name string
+	Cfg  Config
+}
+
+// Shapes returns the four program shapes — default, switch, straightline
+// and branchy — which span the block lengths and control shapes the
+// analyses' cost and correctness depend on.
+func Shapes() []Shape {
+	return []Shape{
+		{"default", DefaultConfig()},
+		{"switch", SwitchConfig()},
+		{"straightline", StraightlineConfig()},
+		{"branchy", BranchyConfig()},
+	}
+}
+
 type gen struct {
 	r         *rand.Rand
 	cfg       Config

@@ -121,6 +121,30 @@ func (r Region) blocks() []*ir.Block {
 // data symbols for alias-driven memory disambiguation and block-RAM
 // sizing; it may be nil (conservative aliasing, no array migration).
 func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
+	return SynthesizeWith(r, img, opts, nil)
+}
+
+// Facts holds the per-function analyses synthesis reads: the loop nest
+// (ir.FindLoops) and, when there is an image, the alias facts computed
+// from it. Both depend only on the function and the image, so every
+// region of one function can share one Facts.
+type Facts struct {
+	Loops []*ir.Loop
+	Alias *alias.Info
+}
+
+// newFacts computes the Facts for f. img may be nil (no alias facts).
+func newFacts(f *ir.Func, img *binimg.Image) *Facts {
+	fx := &Facts{Loops: ir.FindLoops(f)}
+	if img != nil {
+		fx.Alias = alias.Analyze(f, img, fx.Loops)
+	}
+	return fx
+}
+
+// SynthesizeWith is Synthesize reusing precomputed Facts for r.Func and
+// img; nil facts are computed here.
+func SynthesizeWith(r Region, img *binimg.Image, opts Options, fx *Facts) (*Design, error) {
 	blocks := r.blocks()
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("synth: empty region %q", r.Name)
@@ -135,10 +159,10 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 			}
 		}
 	}
-	var am *alias.Info
-	if img != nil {
-		am = alias.Analyze(r.Func, img)
+	if fx == nil {
+		fx = newFacts(r.Func, img)
 	}
+	am := fx.Alias
 
 	d := &Design{
 		Name:        r.Name,
@@ -171,7 +195,7 @@ func Synthesize(r Region, img *binimg.Image, opts Options) (*Design, error) {
 
 	// Loop pipelining of single-block inner loops.
 	if opts.Pipeline {
-		d.Pipelines = pipelineLoops(r, d, opts.Resources)
+		d.Pipelines = pipelineLoops(r, fx.Loops, d, opts.Resources)
 	}
 
 	// Array migration into block RAM.
@@ -217,9 +241,8 @@ func findSymbol(img *binimg.Image, name string) (binimg.Symbol, bool) {
 // pipelineLoops computes initiation intervals for pipelinable loops in
 // the region: single-block bodies (plus the rotated test header) whose
 // iterations can overlap. II = max(resource II, recurrence II).
-func pipelineLoops(r Region, d *Design, res Resources) []PipeInfo {
+func pipelineLoops(r Region, loops []*ir.Loop, d *Design, res Resources) []PipeInfo {
 	var out []PipeInfo
-	loops := ir.FindLoops(r.Func)
 	for _, l := range loops {
 		if r.Blocks != nil {
 			inRegion := true
