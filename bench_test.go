@@ -177,6 +177,19 @@ func BenchmarkStageCompileLong(b *testing.B) {
 	}
 }
 
+// BenchmarkStageParse measures the MicroC front end alone, lexing and
+// parsing the long-block program: the byte-table lexer and the
+// precedence-climbing expression parser.
+func BenchmarkStageParse(b *testing.B) {
+	src := longSource()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mcc.Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStageAnalyzeLong measures the uncached platform-independent
 // flow (simulate, decompile, dopt, alias, synthesize every candidate) on
 // the long-block program's -O0 image.
@@ -326,6 +339,22 @@ func BenchmarkSimMemory(b *testing.B) {
 	if steps > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/step")
 	}
+}
+
+// BenchmarkStageDecodeText measures instruction decoding: every text
+// word of the crc image through mips.Decode, the step the simulator's
+// predecode, cycle attribution and the lifter each run per word.
+func BenchmarkStageDecodeText(b *testing.B) {
+	img := crcImage(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range img.Text {
+			if _, err := mips.Decode(w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(img.Text)), "ns/word")
 }
 
 // BenchmarkStageDecompile measures binary parsing + CDFG creation.

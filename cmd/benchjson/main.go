@@ -10,6 +10,9 @@
 //	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json
 //	go test -run NONE -bench . -benchmem . | benchjson -o BENCH.json -baseline old.json
 //
+// -o and -baseline must name different files; the same file for both
+// exits 2 before reading anything.
+//
 // With -baseline, the new results are diffed against a previous
 // BENCH.json and the run fails (exit 1) if any Stage* benchmark
 // regressed by more than 10%: allocs/op is gated
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -59,6 +63,12 @@ func main() {
 	out := flag.String("o", "BENCH.json", "output path for the JSON report")
 	baseline := flag.String("baseline", "", "previous BENCH.json to diff against; >10% Stage* regressions fail the run")
 	flag.Parse()
+	if *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline) {
+		// Writing the report first would replace the baseline, and the
+		// diff would then compare the new results with themselves.
+		fmt.Fprintf(os.Stderr, "benchjson: -o and -baseline both name %s; write the report to another file (e.g. -o /tmp/bench.json)\n", filepath.Clean(*out))
+		os.Exit(2)
+	}
 
 	rep := Report{Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	sc := bufio.NewScanner(os.Stdin)

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,5 +141,60 @@ func TestParseBenchLineRoundTrip(t *testing.T) {
 	b, ok := parseBenchLine("BenchmarkStageCompile-8   1406   807229 ns/op   1779 allocs/op")
 	if !ok || b.Name != "StageCompile" || b.Metrics["allocs/op"] != 1779 {
 		t.Fatalf("parse failed: %+v ok=%v", b, ok)
+	}
+}
+
+// TestSameOutputAndBaselineRefused runs the command with -o and
+// -baseline naming one file under different spellings. Writing the
+// report would overwrite the baseline and the diff would then compare
+// the results with themselves, so the command must exit 2 with a
+// message, leaving the file untouched; distinct files still pass.
+func TestSameOutputAndBaselineRefused(t *testing.T) {
+	if args := os.Getenv("BENCHJSON_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"benchjson"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	const baseline = `{"benchmarks":[{"name":"StageX","n":1,"metrics":{"allocs/op":10}}]}`
+	run := func(args string) (int, string, string) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "BENCH.json"), []byte(baseline), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSameOutputAndBaselineRefused$")
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "BENCHJSON_MAIN_ARGS="+args)
+		cmd.Stdin = strings.NewReader("BenchmarkStageX-2   1   100 ns/op   50 allocs/op\n")
+		out, err := cmd.CombinedOutput()
+		code := 0
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(filepath.Join(dir, "BENCH.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code, string(out), string(after)
+	}
+	for _, args := range []string{
+		"-baseline BENCH.json", // -o defaults to BENCH.json
+		"-o ./BENCH.json -baseline BENCH.json",
+		"-o sub/../BENCH.json -baseline ./BENCH.json",
+	} {
+		code, out, after := run(args)
+		if code != 2 || !strings.Contains(out, "-o and -baseline both name BENCH.json") {
+			t.Errorf("%s: exit %d, output %q; want exit 2 naming the file", args, code, out)
+		}
+		if after != baseline {
+			t.Errorf("%s: baseline rewritten", args)
+		}
+	}
+	// A distinct output gates against the untouched baseline: 10 -> 50
+	// allocs/op is a regression.
+	if code, out, _ := run("-o new.json -baseline BENCH.json"); code != 1 || !strings.Contains(out, "REGRESSION: StageX allocs/op") {
+		t.Errorf("distinct files: exit %d, output %q; want the gate to run and fail", code, out)
 	}
 }

@@ -315,7 +315,11 @@ func evalBinary(op ir.Op, a, b int32) (int32, bool) {
 // "r25 = add r25, 1"). Registers are freely reused by compilers, so the
 // deadness check must be liveness-based rather than use-count-based.
 func FoldMoves(f *ir.Func) int {
-	_, liveOut := abiLiveness(f)
+	return foldMoves(f, new(liveness))
+}
+
+func foldMoves(f *ir.Func, lv *liveness) int {
+	_, liveOut := lv.solve(f)
 	folded := 0
 	for _, b := range f.Blocks {
 		for i := 1; i < len(b.Instrs); i++ {
@@ -370,45 +374,11 @@ func usedLater(b *ir.Block, from int, loc ir.Loc) bool {
 }
 
 // abiLiveness computes block liveness with ABI-aware uses (calls read
-// argument registers, returns read the ABI-live set). The returned sets
-// share one backing allocation; treat them as read-only.
+// argument registers, returns read the ABI-live set) in a workspace of
+// its own. The returned sets share one backing allocation; treat them as
+// read-only.
 func abiLiveness(f *ir.Func) (liveIn, liveOut []locSet) {
-	n := len(f.Blocks)
-	sets, scratch := newLocSets(2*n, 1, f.LocSpace())
-	liveIn, liveOut = sets[:n], sets[n:]
-	live := scratch[0]
-	var ub [2]ir.Loc
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			live.reset()
-			for _, s := range b.Succs {
-				live.or(liveIn[s.Index])
-			}
-			if liveOut[i].or(live) {
-				changed = true
-			}
-			for j := len(b.Instrs) - 1; j >= 0; j-- {
-				in := &b.Instrs[j]
-				if in.HasDst() {
-					live.clear(in.Dst)
-				}
-				if in.Op == ir.Call {
-					for _, l := range callClobbered {
-						live.clear(l)
-					}
-				}
-				for _, u := range effUses(in, ub[:0]) {
-					live.set(u)
-				}
-			}
-			if liveIn[i].or(live) {
-				changed = true
-			}
-		}
-	}
-	return liveIn, liveOut
+	return new(liveness).solve(f)
 }
 
 // effUses extends Instr.Uses with ABI effects: calls read the argument
@@ -434,46 +404,17 @@ var haltUses = []ir.Loc{ir.RegV0}
 // using backwards per-instruction liveness with ABI-aware uses. Returns
 // the number of instructions removed.
 func DeadCode(f *ir.Func) int {
-	// Block-level liveness with ABI uses folded in.
-	n := len(f.Blocks)
-	liveIn, scratch := newLocSets(n, 1, f.LocSpace())
-	live := scratch[0]
-	var ub [2]ir.Loc
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			live.reset()
-			for _, s := range b.Succs {
-				live.or(liveIn[s.Index])
-			}
-			for j := len(b.Instrs) - 1; j >= 0; j-- {
-				in := &b.Instrs[j]
-				if in.HasDst() {
-					live.clear(in.Dst)
-				}
-				if in.Op == ir.Call {
-					for _, l := range callClobbered {
-						live.clear(l)
-					}
-				}
-				for _, u := range effUses(in, ub[:0]) {
-					live.set(u)
-				}
-			}
-			if liveIn[i].or(live) {
-				changed = true
-			}
-		}
-	}
+	return deadCode(f, new(liveness))
+}
 
+func deadCode(f *ir.Func, lv *liveness) int {
+	_, liveOut := lv.solve(f)
+	live := lv.live
+	var ub [2]ir.Loc
 	removed := 0
-	for i := n - 1; i >= 0; i-- {
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
 		b := f.Blocks[i]
-		live.reset()
-		for _, s := range b.Succs {
-			live.or(liveIn[s.Index])
-		}
+		copy(live, liveOut[i])
 		for j := len(b.Instrs) - 1; j >= 0; j-- {
 			in := &b.Instrs[j]
 			if in.HasDst() && !live.has(in.Dst) && pure(in) {
@@ -588,11 +529,16 @@ func GlobalConstProp(f *ir.Func) int {
 // Cleanup iterates ConstProp, FoldMoves and DeadCode to a fixpoint; this
 // is the paper's "constant propagation" overhead-removal stage.
 func Cleanup(f *ir.Func) {
+	cleanup(f, new(liveness))
+}
+
+// cleanup is Cleanup with its rounds' liveness sets taken from lv.
+func cleanup(f *ir.Func, lv *liveness) {
 	for i := 0; i < 8; i++ {
 		c := ConstProp(f)
 		c += GlobalConstProp(f)
-		c += FoldMoves(f)
-		c += DeadCode(f)
+		c += foldMoves(f, lv)
+		c += deadCode(f, lv)
 		if c == 0 {
 			return
 		}

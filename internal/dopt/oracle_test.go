@@ -249,3 +249,306 @@ func TestIndexedConstPropRandomIR(t *testing.T) {
 		}
 	}
 }
+
+// abiLivenessRef is abiLiveness before the gen/kill summaries and the
+// workspace, kept as the differential reference: every fixpoint
+// iteration re-runs each block's per-instruction transfer in freshly
+// allocated sets.
+func abiLivenessRef(f *ir.Func) (liveIn, liveOut []locSet) {
+	n := len(f.Blocks)
+	words := (f.LocSpace() + 63) / 64
+	sets := make([]locSet, 2*n+1)
+	for i := range sets {
+		sets[i] = make(locSet, words)
+	}
+	liveIn, liveOut = sets[:n], sets[n:2*n]
+	live := sets[2*n]
+	var ub [2]ir.Loc
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			b := f.Blocks[i]
+			live.reset()
+			for _, s := range b.Succs {
+				live.or(liveIn[s.Index])
+			}
+			if liveOut[i].or(live) {
+				changed = true
+			}
+			for j := len(b.Instrs) - 1; j >= 0; j-- {
+				in := &b.Instrs[j]
+				if in.HasDst() {
+					live.clear(in.Dst)
+				}
+				if in.Op == ir.Call {
+					for _, l := range callClobbered {
+						live.clear(l)
+					}
+				}
+				for _, u := range effUses(in, ub[:0]) {
+					live.set(u)
+				}
+			}
+			if liveIn[i].or(live) {
+				changed = true
+			}
+		}
+	}
+	return liveIn, liveOut
+}
+
+// deadCodeRef is DeadCode with its own copy of the liveness fixpoint, as
+// it was before it took its block live-out from the workspace.
+func deadCodeRef(f *ir.Func) int {
+	_, liveOut := abiLivenessRef(f)
+	live := make(locSet, (f.LocSpace()+63)/64)
+	var ub [2]ir.Loc
+	removed := 0
+	for i := len(f.Blocks) - 1; i >= 0; i-- {
+		b := f.Blocks[i]
+		copy(live, liveOut[i])
+		for j := len(b.Instrs) - 1; j >= 0; j-- {
+			in := &b.Instrs[j]
+			if in.HasDst() && !live.has(in.Dst) && pure(in) {
+				*in = ir.Instr{Op: ir.Nop, Addr: in.Addr}
+				removed++
+				continue
+			}
+			if in.HasDst() {
+				live.clear(in.Dst)
+			}
+			if in.Op == ir.Call {
+				for _, l := range callClobbered {
+					live.clear(l)
+				}
+			}
+			for _, u := range effUses(in, ub[:0]) {
+				live.set(u)
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		out := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if in.Op != ir.Nop {
+				out = append(out, in)
+			}
+		}
+		b.Instrs = out
+	}
+	return removed
+}
+
+// sameSets reports where two families of location sets first differ, or
+// "". The sets may differ in length (a workspace sized for a larger
+// function keeps its width); missing words read as zero.
+func sameSets(what string, a, b []locSet) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%s: %d sets vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		for w := 0; w < len(a[i]) || w < len(b[i]); w++ {
+			var x, y uint64
+			if w < len(a[i]) {
+				x = a[i][w]
+			}
+			if w < len(b[i]) {
+				y = b[i][w]
+			}
+			if x != y {
+				return fmt.Sprintf("%s of block %d, word %d: %#x vs %#x", what, i, w, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// sameLiveness solves f in lv and with the reference and reports the
+// first difference, or "".
+func sameLiveness(lv *liveness, f *ir.Func) string {
+	in, out := lv.solve(f)
+	rin, rout := abiLivenessRef(f)
+	if d := sameSets("live-in", in, rin); d != "" {
+		return d
+	}
+	return sameSets("live-out", out, rout)
+}
+
+// TestLivenessMatchesReference runs OptimizeWith's pass order on two
+// copies of every recovered function in lockstep: one with a single
+// liveness workspace for the whole pipeline, as OptimizeWith keeps it, and
+// one through deadCodeRef. Before every FoldMoves and DeadCode call the
+// workspace's live-in and live-out must equal the reference fixpoint's,
+// and after every DeadCode call both copies' IR and counts must agree.
+// Stack-slot promotion grows the location space mid-pipeline, so the
+// workspace's resize path runs on real code. The suite at -O0..-O3 and
+// fixed-seed generated programs of every shape feed it.
+func TestLivenessMatchesReference(t *testing.T) {
+	solves := 0
+	check := func(name, src string, level int) {
+		img, err := mcc.Compile(src, mcc.Options{OptLevel: level})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		decode := func() *decompile.Result {
+			res, err := decompile.DecompileWith(img, decompile.Options{RecoverJumpTables: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
+		}
+		cur, ref := decode(), decode()
+		for fi, c := range cur.Funcs {
+			r := ref.Funcs[fi]
+			lv := new(liveness)
+			failed := false
+			fail := func(format string, args ...any) {
+				if !failed {
+					failed = true
+					t.Errorf("%s %s: "+format, append([]any{name, c.Name}, args...)...)
+				}
+			}
+			fold := func() int {
+				if d := sameLiveness(lv, c); d != "" {
+					fail("before FoldMoves: %s", d)
+				}
+				solves++
+				n := foldMoves(c, lv)
+				FoldMoves(r)
+				return n
+			}
+			dead := func() int {
+				if d := sameLiveness(lv, c); d != "" {
+					fail("before DeadCode: %s", d)
+				}
+				solves++
+				nc, nr := deadCode(c, lv), deadCodeRef(r)
+				if where := sameIR(c, r); where != "" || nc != nr {
+					fail("DeadCode differs (%s; counts %d vs %d)", where, nc, nr)
+				}
+				return nc
+			}
+			both := func(pass func(*ir.Func) int) int {
+				n := pass(c)
+				pass(r)
+				return n
+			}
+			cleanup := func() {
+				for i := 0; i < 8; i++ {
+					n := both(ConstProp)
+					n += both(GlobalConstProp)
+					n += fold()
+					n += dead()
+					if n == 0 {
+						return
+					}
+				}
+			}
+			both(ConstProp)
+			fold()
+			dead()
+			cleanup()
+			RemoveStackOps(c)
+			RemoveStackOps(r)
+			cleanup()
+			Reroll(c)
+			Reroll(r)
+			PromoteStrength(c)
+			PromoteStrength(r)
+			cleanup()
+			both(StrengthReduce)
+			cleanup()
+		}
+	}
+	for _, bm := range bench.All() {
+		for lvl := 0; lvl <= 3; lvl++ {
+			check(fmt.Sprintf("%s/O%d", bm.Name, lvl), bm.Source, lvl)
+		}
+	}
+	for _, sh := range progen.Shapes() {
+		for seed := int64(0); seed < 8; seed++ {
+			check(fmt.Sprintf("%s/%d", sh.Name, seed), progen.Generate(seed, sh.Cfg).Source, int(seed)%4)
+		}
+	}
+	if solves < 1000 {
+		t.Fatalf("oracle compared only %d liveness solves", solves)
+	}
+	t.Logf("%d liveness solves identical", solves)
+}
+
+// addRandomEdges gives randomIR's blocks successors, back edges and self
+// loops included, so liveness has to iterate to its fixpoint.
+func addRandomEdges(r *rand.Rand, f *ir.Func) {
+	for _, b := range f.Blocks {
+		for k := r.Intn(3); k > 0; k-- {
+			b.Succs = append(b.Succs, f.Blocks[r.Intn(len(f.Blocks))])
+		}
+	}
+}
+
+// TestLivenessRandomIR checks the workspace against the reference on
+// random IR with calls mid-block and random control flow, reusing one
+// workspace across functions of different sizes and across DeadCode
+// rounds that shrink the live sets.
+func TestLivenessRandomIR(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	lv := new(liveness)
+	for n := 0; n < 2000; n++ {
+		f := randomIR(r)
+		addRandomEdges(r, f)
+		cur, ref := cloneIR(f), cloneIR(f)
+		for round := 0; round < 3; round++ {
+			if d := sameLiveness(lv, cur); d != "" {
+				t.Fatalf("function %d, round %d: %s\ninput:\n%s", n, round, d, f)
+			}
+			nc, nr := deadCode(cur, lv), deadCodeRef(ref)
+			if where := sameIR(cur, ref); where != "" || nc != nr {
+				t.Fatalf("function %d, round %d: DeadCode differs (%s; counts %d vs %d)\ninput:\n%s", n, round, where, nc, nr, f)
+			}
+			ConstProp(cur)
+			ConstProp(ref)
+		}
+	}
+}
+
+// TestLivenessWorkspaceGrows reuses a workspace after the function's
+// location space grows past the sets it was sized for, between rounds
+// as stack-slot promotion does: the new locations must be tracked, not
+// dropped or read from stale words, and a later solve of a smaller
+// function must not see bits the larger one left behind.
+func TestLivenessWorkspaceGrows(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for n := 0; n < 200; n++ {
+		f := randomIR(r)
+		addRandomEdges(r, f)
+		lv := new(liveness)
+		if d := sameLiveness(lv, f); d != "" {
+			t.Fatalf("function %d: %s", n, d)
+		}
+		words := lv.words
+		// A chain of fresh virtual locations, 130 past the old space:
+		// each is defined from the previous one and the last flows into
+		// a store, so all of them are live somewhere in the block.
+		b := f.Blocks[r.Intn(len(f.Blocks))]
+		term := b.Instrs[len(b.Instrs)-1]
+		body := b.Instrs[: len(b.Instrs)-1 : len(b.Instrs)-1]
+		prev := ir.L(ir.RegA0)
+		for k := 0; k < 130; k++ {
+			l := f.NewLoc()
+			body = append(body, ir.Instr{Op: ir.Add, Dst: l, A: prev, B: ir.C(1)})
+			prev = ir.L(l)
+		}
+		b.Instrs = append(body, ir.Instr{Op: ir.Store, A: ir.L(ir.RegSP), B: prev, Width: 4}, term)
+		if d := sameLiveness(lv, f); d != "" {
+			t.Fatalf("function %d after growth: %s", n, d)
+		}
+		if lv.words <= words {
+			t.Fatalf("function %d: workspace stayed at %d words", n, lv.words)
+		}
+		g := randomIR(r)
+		addRandomEdges(r, g)
+		if d := sameLiveness(lv, g); d != "" {
+			t.Fatalf("function %d, smaller function in the grown workspace: %s", n, d)
+		}
+	}
+}

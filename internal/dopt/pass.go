@@ -37,15 +37,18 @@ func Optimize(f *ir.Func) Report {
 // OptimizeWith runs the pipeline with selected passes disabled.
 func OptimizeWith(f *ir.Func, cfg Config) Report {
 	var rep Report
+	// One liveness workspace serves every FoldMoves and DeadCode round of
+	// the pipeline; it resizes when stack-slot promotion adds locations.
+	lv := new(liveness)
 
 	// Instruction-set overhead removal.
 	ConstProp(f)
-	rep.MovesFolded += FoldMoves(f)
-	rep.DeadRemoved += DeadCode(f)
-	Cleanup(f)
+	rep.MovesFolded += foldMoves(f, lv)
+	rep.DeadRemoved += deadCode(f, lv)
+	cleanup(f, lv)
 	if !cfg.NoStackRemoval {
 		rep.Stack = RemoveStackOps(f)
-		Cleanup(f)
+		cleanup(f, lv)
 	}
 
 	// Undo compiler optimizations.
@@ -55,12 +58,12 @@ func OptimizeWith(f *ir.Func, cfg Config) Report {
 	if !cfg.NoPromote {
 		rep.Promote = PromoteStrength(f)
 	}
-	Cleanup(f)
+	cleanup(f, lv)
 
 	// Final synthesis-oriented rewrites and annotations.
 	if !cfg.NoStrengthRed {
 		rep.StrengthReduced = StrengthReduce(f)
-		Cleanup(f)
+		cleanup(f, lv)
 	}
 	if !cfg.NoWidthReduce {
 		rep.Width = ReduceWidths(f)

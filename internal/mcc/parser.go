@@ -42,7 +42,9 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-func (p *parser) cur() token        { return p.toks[p.pos] }
+// cur returns the current token in place; tokens are never modified
+// after lexing, so the pointer stays valid while parsing moves on.
+func (p *parser) cur() *token       { return &p.toks[p.pos] }
 func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
 
 func (p *parser) atPunct(s string) bool {
@@ -55,7 +57,7 @@ func (p *parser) atKeyword(s string) bool {
 	return t.kind == tokKeyword && t.text == s
 }
 
-func (p *parser) advance() token {
+func (p *parser) advance() *token {
 	t := p.cur()
 	if t.kind != tokEOF {
 		p.pos++
@@ -549,7 +551,7 @@ func (p *parser) parseAssign() (Expr, error) {
 }
 
 func (p *parser) parseTernary() (Expr, error) {
-	cond, err := p.parseBinary(0)
+	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
 	}
@@ -571,48 +573,30 @@ func (p *parser) parseTernary() (Expr, error) {
 	return &CondExpr{Cond: cond, Then: then, Else: els}, nil
 }
 
-// binLevels lists binary operators from lowest to highest precedence.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
-}
-
-func (p *parser) parseBinary(level int) (Expr, error) {
-	if level >= len(binLevels) {
-		return p.parseUnary()
-	}
-	lhs, err := p.parseBinary(level + 1)
+// parseBinary parses a binary expression whose operators all have
+// precedence minPrec or higher, by precedence climbing over the operator
+// ids the lexer tagged: the right operand of an operator of precedence
+// prec takes only operators above prec, so equal precedence associates
+// left. Tokens that are no binary operator have precedence 0, so with
+// minPrec at least 1 they end the expression.
+func (p *parser) parseBinary(minPrec int8) (Expr, error) {
+	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := ""
-		if p.cur().kind == tokPunct {
-			for _, op := range binLevels[level] {
-				if p.cur().text == op {
-					matched = op
-					break
-				}
-			}
-		}
-		if matched == "" {
+		t := p.cur()
+		prec := binPrec[t.op]
+		if prec < minPrec {
 			return lhs, nil
 		}
 		p.advance()
-		rhs, err := p.parseBinary(level + 1)
+		rhs, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
 		bin := p.bins.new()
-		bin.Op, bin.L, bin.R = matched, lhs, rhs
+		bin.Op, bin.L, bin.R = t.text, lhs, rhs
 		lhs = bin
 	}
 }

@@ -25,7 +25,7 @@ import (
 	"unicode"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -39,6 +39,7 @@ const (
 
 type token struct {
 	kind tokKind
+	op   binOp // the binary operator a tokPunct spells, or opNone
 	text string
 	val  int64 // for tokNumber and tokChar
 	line int
@@ -73,6 +74,85 @@ var puncts = []string{
 	"(", ")", "{", "}", "[", "]", ";", ",", ":", "?",
 }
 
+// binOp identifies a binary operator punctuator. The lexer tags each
+// token with its id once, so the parser's precedence climbing reads a
+// small integer instead of comparing operator strings at every level.
+type binOp uint8
+
+const (
+	opNone binOp = iota
+	opOrOr
+	opAndAnd
+	opOr
+	opXor
+	opAnd
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opShl
+	opShr
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opRem
+	numBinOps
+)
+
+// binOps maps each binary operator's spelling to its id and its
+// precedence, from 1 (lowest, "||") to 10 (highest, "*" "/" "%").
+var binOps = map[string]struct {
+	op   binOp
+	prec int8
+}{
+	"||": {opOrOr, 1},
+	"&&": {opAndAnd, 2},
+	"|":  {opOr, 3},
+	"^":  {opXor, 4},
+	"&":  {opAnd, 5},
+	"==": {opEq, 6}, "!=": {opNe, 6},
+	"<": {opLt, 7}, "<=": {opLe, 7}, ">": {opGt, 7}, ">=": {opGe, 7},
+	"<<": {opShl, 8}, ">>": {opShr, 8},
+	"+": {opAdd, 9}, "-": {opSub, 9},
+	"*": {opMul, 10}, "/": {opDiv, 10}, "%": {opRem, 10},
+}
+
+// punct is one punctuator spelling with its binary-operator id.
+type punct struct {
+	text string
+	op   binOp
+}
+
+// Byte-indexed lexer tables, built once from the predicates and lists
+// above. Identifier and number classes keep unicode's answers for every
+// byte value, so Latin-1 letter bytes (0xaa, 0xc0, ...) still start and
+// continue identifiers as they always have. punctsByFirst buckets the
+// punctuators by their first byte in puncts' longest-first order;
+// binPrec is indexed by binOp, with opNone at precedence 0.
+var (
+	identStart    [256]bool
+	digitStart    [256]bool
+	identCont     [256]bool
+	punctsByFirst [256][]punct
+	binPrec       [numBinOps]int8
+)
+
+func init() {
+	for c := 0; c < 256; c++ {
+		identStart[c] = unicode.IsLetter(rune(c)) || c == '_'
+		digitStart[c] = unicode.IsDigit(rune(c))
+		identCont[c] = c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == 'x' || c == 'X'
+	}
+	for _, p := range puncts {
+		b := binOps[p]
+		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], punct{text: p, op: b.op})
+		binPrec[b.op] = b.prec
+	}
+}
+
 type lexer struct {
 	src  string
 	pos  int
@@ -84,10 +164,7 @@ type lexer struct {
 // lex tokenizes src. It returns a descriptive error with line/column on any
 // malformed input.
 func lex(src string) ([]token, error) {
-	// One token per ~4 source bytes is a close upper estimate for MicroC;
-	// reserving it up front avoids the append-growth copies on every
-	// compile.
-	lx := &lexer{src: src, line: 1, col: 1, toks: make([]token, 0, len(src)/4+16)}
+	lx := &lexer{src: src, line: 1, col: 1, toks: make([]token, 0, tokenCap(len(src)))}
 	for {
 		lx.skipSpaceAndComments()
 		if lx.pos >= len(lx.src) {
@@ -99,6 +176,13 @@ func lex(src string) ([]token, error) {
 		}
 	}
 }
+
+// tokenCap is the token-slice capacity lex reserves for a source of n
+// bytes: one token per 1.75 bytes, plus the EOF token and slack for tiny
+// sources. The suite kernels run about 3.3 bytes per token; generated
+// programs, dense with short names and operators, reach 1.86, so neither
+// regrows the slice.
+func tokenCap(n int) int { return n*4/7 + 16 }
 
 func (lx *lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("mcc: %d:%d: %s", lx.line, lx.col, fmt.Sprintf(format, args...))
@@ -120,11 +204,17 @@ func (lx *lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance(1)
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
+			lx.col++
+		case c == '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
 		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/':
 			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.advance(1)
+				lx.pos++
+				lx.col++
 			}
 		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '*':
 			lx.advance(2)
@@ -138,28 +228,30 @@ func (lx *lexer) skipSpaceAndComments() {
 	}
 }
 
+// scanIdent consumes identifier-continuation bytes, none of which is a
+// newline, and returns the text from start.
+func (lx *lexer) scanIdent(start int) string {
+	for lx.pos < len(lx.src) && identCont[lx.src[lx.pos]] {
+		lx.pos++
+	}
+	lx.col += lx.pos - start
+	return lx.src[start:lx.pos]
+}
+
 func (lx *lexer) next() error {
 	line, col := lx.line, lx.col
 	c := lx.src[lx.pos]
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
-		start := lx.pos
-		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
-			lx.advance(1)
-		}
-		text := lx.src[start:lx.pos]
+	case identStart[c]:
+		text := lx.scanIdent(lx.pos)
 		kind := tokIdent
 		if keywords[text] {
 			kind = tokKeyword
 		}
 		lx.toks = append(lx.toks, token{kind: kind, text: text, line: line, col: col})
 		return nil
-	case unicode.IsDigit(rune(c)):
-		start := lx.pos
-		for lx.pos < len(lx.src) && (isIdentChar(lx.src[lx.pos])) {
-			lx.advance(1)
-		}
-		text := lx.src[start:lx.pos]
+	case digitStart[c]:
+		text := lx.scanIdent(lx.pos)
 		// Allow trailing u/U suffix as in C.
 		numText := strings.TrimRight(text, "uU")
 		v, err := strconv.ParseInt(numText, 0, 64)
@@ -207,16 +299,14 @@ func (lx *lexer) next() error {
 		lx.toks = append(lx.toks, token{kind: tokChar, text: "'", val: v, line: line, col: col})
 		return nil
 	}
-	for _, p := range puncts {
-		if strings.HasPrefix(lx.src[lx.pos:], p) {
-			lx.advance(len(p))
-			lx.toks = append(lx.toks, token{kind: tokPunct, text: p, line: line, col: col})
+	rest := lx.src[lx.pos:]
+	for _, p := range punctsByFirst[c] {
+		if strings.HasPrefix(rest, p.text) {
+			lx.pos += len(p.text)
+			lx.col += len(p.text)
+			lx.toks = append(lx.toks, token{kind: tokPunct, op: p.op, text: p.text, line: line, col: col})
 			return nil
 		}
 	}
 	return lx.errf("unexpected character %q", c)
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == 'x' || c == 'X'
 }

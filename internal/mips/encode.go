@@ -87,6 +87,23 @@ var memOps = map[Op]uint32{
 	SB: opSB, SH: opSH, SW: opSW,
 }
 
+// Decode's inverse tables: the Op for each SPECIAL funct, I-type ALU
+// opcode and load/store opcode, indexed by the 6-bit field. NOP (0) marks
+// an unused code. They are built once from the maps above, which stay the
+// single source of the encoding.
+var (
+	rfunctOp = invert(rfuncts)
+	immOpOf  = invert(immOps)
+	memOpOf  = invert(memOps)
+)
+
+func invert(m map[Op]uint32) (t [64]Op) {
+	for o, code := range m {
+		t[code] = o
+	}
+	return t
+}
+
 // Encode converts the instruction to its 32-bit machine encoding.
 func Encode(i Inst) (uint32, error) {
 	switch i.Op {
@@ -100,7 +117,17 @@ func Encode(i Inst) (uint32, error) {
 		}
 		return rtype(shiftFuncts[i.Op], 0, i.Rt, i.Rd, uint32(i.Imm)), nil
 	case MULT, MULTU, DIV, DIVU:
-		fn := map[Op]uint32{MULT: fnMULT, MULTU: fnMULTU, DIV: fnDIV, DIVU: fnDIVU}[i.Op]
+		var fn uint32
+		switch i.Op {
+		case MULT:
+			fn = fnMULT
+		case MULTU:
+			fn = fnMULTU
+		case DIV:
+			fn = fnDIV
+		case DIVU:
+			fn = fnDIVU
+		}
 		return rtype(fn, i.Rs, i.Rt, 0, 0), nil
 	case MFHI, MFLO:
 		fn := fnMFHI
@@ -225,10 +252,8 @@ func Decode(w uint32) (Inst, error) {
 		case fnDIVU:
 			return Inst{Op: DIVU, Rs: rs, Rt: rt}, nil
 		}
-		for o, f := range rfuncts {
-			if f == fn {
-				return Inst{Op: o, Rd: rd, Rs: rs, Rt: rt}, nil
-			}
+		if o := rfunctOp[fn]; o != NOP {
+			return Inst{Op: o, Rd: rd, Rs: rs, Rt: rt}, nil
 		}
 		return Inst{}, fmt.Errorf("mips: unknown SPECIAL funct 0x%02x in word 0x%08x", fn, w)
 	case opRegimm:
@@ -254,19 +279,15 @@ func Decode(w uint32) (Inst, error) {
 	case opLUI:
 		return Inst{Op: LUI, Rt: rt, Imm: uimm}, nil
 	}
-	for o, code := range immOps {
-		if code == op {
-			imm := simm
-			if o == ANDI || o == ORI || o == XORI {
-				imm = uimm
-			}
-			return Inst{Op: o, Rs: rs, Rt: rt, Imm: imm}, nil
+	if o := immOpOf[op]; o != NOP {
+		imm := simm
+		if o == ANDI || o == ORI || o == XORI {
+			imm = uimm
 		}
+		return Inst{Op: o, Rs: rs, Rt: rt, Imm: imm}, nil
 	}
-	for o, code := range memOps {
-		if code == op {
-			return Inst{Op: o, Rs: rs, Rt: rt, Imm: simm}, nil
-		}
+	if o := memOpOf[op]; o != NOP {
+		return Inst{Op: o, Rs: rs, Rt: rt, Imm: simm}, nil
 	}
 	return Inst{}, fmt.Errorf("mips: unknown opcode 0x%02x in word 0x%08x", op, w)
 }
