@@ -315,11 +315,12 @@ func evalBinary(op ir.Op, a, b int32) (int32, bool) {
 // "r25 = add r25, 1"). Registers are freely reused by compilers, so the
 // deadness check must be liveness-based rather than use-count-based.
 func FoldMoves(f *ir.Func) int {
-	return foldMoves(f, new(liveness))
+	_, liveOut := abiLiveness(f)
+	return foldMoves(f, liveOut)
 }
 
-func foldMoves(f *ir.Func, lv *liveness) int {
-	_, liveOut := lv.solve(f)
+// foldMoves is FoldMoves given the block live-out of f as it stands.
+func foldMoves(f *ir.Func, liveOut []locSet) int {
 	folded := 0
 	for _, b := range f.Blocks {
 		for i := 1; i < len(b.Instrs); i++ {
@@ -404,12 +405,14 @@ var haltUses = []ir.Loc{ir.RegV0}
 // using backwards per-instruction liveness with ABI-aware uses. Returns
 // the number of instructions removed.
 func DeadCode(f *ir.Func) int {
-	return deadCode(f, new(liveness))
+	lv := new(liveness)
+	_, liveOut := lv.solve(f)
+	return deadCode(f, liveOut, lv.live)
 }
 
-func deadCode(f *ir.Func, lv *liveness) int {
-	_, liveOut := lv.solve(f)
-	live := lv.live
+// deadCode is DeadCode given the block live-out of f as it stands and a
+// scratch set as wide as liveOut's.
+func deadCode(f *ir.Func, liveOut []locSet, live locSet) int {
 	var ub [2]ir.Loc
 	removed := 0
 	for i := len(f.Blocks) - 1; i >= 0; i-- {
@@ -537,10 +540,20 @@ func cleanup(f *ir.Func, lv *liveness) {
 	for i := 0; i < 8; i++ {
 		c := ConstProp(f)
 		c += GlobalConstProp(f)
-		c += foldMoves(f, lv)
-		c += deadCode(f, lv)
-		if c == 0 {
+		folded, removed := foldThenSweep(f, lv)
+		if c+folded+removed == 0 {
 			return
 		}
 	}
+}
+
+// foldThenSweep runs FoldMoves and then DeadCode on one liveness
+// solution in lv. Folding "x = op ...; y = x" into "y = op ..." needs x
+// dead at the block's exit and unread in it afterwards, and it drops
+// only that definition of x and its read by the move, so no block's
+// live-in or live-out changes and DeadCode sweeps with the same sets.
+func foldThenSweep(f *ir.Func, lv *liveness) (folded, removed int) {
+	_, liveOut := lv.solve(f)
+	folded = foldMoves(f, liveOut)
+	return folded, deadCode(f, liveOut, lv.live)
 }

@@ -377,9 +377,9 @@ func sameLiveness(lv *liveness, f *ir.Func) string {
 // TestLivenessMatchesReference runs OptimizeWith's pass order on two
 // copies of every recovered function in lockstep: one with a single
 // liveness workspace for the whole pipeline, as OptimizeWith keeps it, and
-// one through deadCodeRef. Before every FoldMoves and DeadCode call the
-// workspace's live-in and live-out must equal the reference fixpoint's,
-// and after every DeadCode call both copies' IR and counts must agree.
+// one through FoldMoves and deadCodeRef. Before every FoldMoves/DeadCode
+// pair the workspace's live-in and live-out must equal the reference
+// fixpoint's, and after it both copies' IR and counts must agree.
 // Stack-slot promotion grows the location space mid-pipeline, so the
 // workspace's resize path runs on real code. The suite at -O0..-O3 and
 // fixed-seed generated programs of every shape feed it.
@@ -408,25 +408,17 @@ func TestLivenessMatchesReference(t *testing.T) {
 					t.Errorf("%s %s: "+format, append([]any{name, c.Name}, args...)...)
 				}
 			}
-			fold := func() int {
+			sweep := func() int {
 				if d := sameLiveness(lv, c); d != "" {
 					fail("before FoldMoves: %s", d)
 				}
 				solves++
-				n := foldMoves(c, lv)
-				FoldMoves(r)
-				return n
-			}
-			dead := func() int {
-				if d := sameLiveness(lv, c); d != "" {
-					fail("before DeadCode: %s", d)
+				fc, dc := foldThenSweep(c, lv)
+				fr, dr := FoldMoves(r), deadCodeRef(r)
+				if where := sameIR(c, r); where != "" || fc != fr || dc != dr {
+					fail("FoldMoves+DeadCode differ (%s; counts %d+%d vs %d+%d)", where, fc, dc, fr, dr)
 				}
-				solves++
-				nc, nr := deadCode(c, lv), deadCodeRef(r)
-				if where := sameIR(c, r); where != "" || nc != nr {
-					fail("DeadCode differs (%s; counts %d vs %d)", where, nc, nr)
-				}
-				return nc
+				return fc + dc
 			}
 			both := func(pass func(*ir.Func) int) int {
 				n := pass(c)
@@ -437,16 +429,14 @@ func TestLivenessMatchesReference(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					n := both(ConstProp)
 					n += both(GlobalConstProp)
-					n += fold()
-					n += dead()
+					n += sweep()
 					if n == 0 {
 						return
 					}
 				}
 			}
 			both(ConstProp)
-			fold()
-			dead()
+			sweep()
 			cleanup()
 			RemoveStackOps(c)
 			RemoveStackOps(r)
@@ -488,8 +478,8 @@ func addRandomEdges(r *rand.Rand, f *ir.Func) {
 
 // TestLivenessRandomIR checks the workspace against the reference on
 // random IR with calls mid-block and random control flow, reusing one
-// workspace across functions of different sizes and across DeadCode
-// rounds that shrink the live sets.
+// workspace across functions of different sizes and across
+// FoldMoves/DeadCode rounds that shrink the live sets.
 func TestLivenessRandomIR(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	lv := new(liveness)
@@ -501,9 +491,11 @@ func TestLivenessRandomIR(t *testing.T) {
 			if d := sameLiveness(lv, cur); d != "" {
 				t.Fatalf("function %d, round %d: %s\ninput:\n%s", n, round, d, f)
 			}
-			nc, nr := deadCode(cur, lv), deadCodeRef(ref)
-			if where := sameIR(cur, ref); where != "" || nc != nr {
-				t.Fatalf("function %d, round %d: DeadCode differs (%s; counts %d vs %d)\ninput:\n%s", n, round, where, nc, nr, f)
+			fc, dc := foldThenSweep(cur, lv)
+			fr, dr := FoldMoves(ref), deadCodeRef(ref)
+			if where := sameIR(cur, ref); where != "" || fc != fr || dc != dr {
+				t.Fatalf("function %d, round %d: FoldMoves+DeadCode differ (%s; counts %d+%d vs %d+%d)\ninput:\n%s",
+					n, round, where, fc, dc, fr, dr, f)
 			}
 			ConstProp(cur)
 			ConstProp(ref)

@@ -43,8 +43,7 @@ func OptimizeWith(f *ir.Func, cfg Config) Report {
 
 	// Instruction-set overhead removal.
 	ConstProp(f)
-	rep.MovesFolded += foldMoves(f, lv)
-	rep.DeadRemoved += deadCode(f, lv)
+	rep.MovesFolded, rep.DeadRemoved = foldThenSweep(f, lv)
 	cleanup(f, lv)
 	if !cfg.NoStackRemoval {
 		rep.Stack = RemoveStackOps(f)

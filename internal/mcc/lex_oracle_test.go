@@ -154,9 +154,9 @@ func isIdentCharRef(c byte) bool {
 }
 
 // LexDiff lexes src with lex and with the reference lexer and describes
-// the first difference in tokens or error text, or returns "". The
-// binary-operator id lex adds must be the one binOps gives the token's
-// spelling.
+// the first difference in tokens or error text, or returns "". A
+// binary-operator punctuator must carry an id of its precedence, and no
+// other token an id.
 func LexDiff(src string) string {
 	got, gerr := lex(src)
 	want, werr := lexRef(src)
@@ -168,14 +168,14 @@ func LexDiff(src string) string {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.kind == tokPunct {
-			if g.op != binOps[g.text].op {
-				return fmt.Sprintf("token %d %q has operator id %d", i, g.text, g.op)
-			}
-		} else if g.op != opNone {
-			return fmt.Sprintf("token %d %q is no punctuator but has operator id %d", i, g.text, g.op)
+		prec := binOpPrec[g.text]
+		if g.kind != tokPunct {
+			prec = 0
 		}
-		g.op = opNone
+		if (prec != 0) != (g.op != 0) || binPrec[g.op] != prec {
+			return fmt.Sprintf("token %d %q has operator id %d (precedence %d)", i, g.text, g.op, binPrec[g.op])
+		}
+		g.op = 0
 		if g != w {
 			return fmt.Sprintf("token %d = %+v, reference %+v", i, g, w)
 		}

@@ -602,25 +602,29 @@ func (p *parser) parseBinary(minPrec int8) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	switch {
-	case p.atPunct("-") || p.atPunct("~") || p.atPunct("!") || p.atPunct("*") || p.atPunct("&"):
+	tok := p.cur()
+	if tok.kind != tokPunct {
+		return p.parsePostfix()
+	}
+	switch tok.text {
+	case "-", "~", "!", "*", "&":
 		op := p.advance().text
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &UnExpr{Op: op, X: x}, nil
-	case p.atPunct("+"):
+	case "+":
 		p.advance()
 		return p.parseUnary()
-	case p.atPunct("++") || p.atPunct("--"):
+	case "++", "--":
 		op := p.advance().text
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &IncDecExpr{Op: op, LV: x}, nil
-	case p.atPunct("("):
+	case "(":
 		// Either a cast or a parenthesized expression.
 		if p.toks[p.pos+1].kind == tokKeyword {
 			if _, ok := typeKeywords[p.toks[p.pos+1].text]; ok {
@@ -651,8 +655,12 @@ func (p *parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.atPunct("["):
+		tok := p.cur()
+		if tok.kind != tokPunct {
+			return x, nil
+		}
+		switch tok.text {
+		case "[":
 			p.advance()
 			idx, err := p.parseExpr()
 			if err != nil {
@@ -662,7 +670,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 				return nil, err
 			}
 			x = &IndexExpr{Arr: x, Idx: idx}
-		case p.atPunct("++") || p.atPunct("--"):
+		case "++", "--":
 			op := p.advance().text
 			x = &IncDecExpr{Op: op, Post: true, LV: x}
 		default:

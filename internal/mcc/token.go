@@ -74,50 +74,25 @@ var puncts = []string{
 	"(", ")", "{", "}", "[", "]", ";", ",", ":", "?",
 }
 
-// binOp identifies a binary operator punctuator. The lexer tags each
-// token with its id once, so the parser's precedence climbing reads a
-// small integer instead of comparing operator strings at every level.
+// binOp identifies a binary operator punctuator; 0 is no operator. The
+// lexer tags each token with its id once, so the parser's precedence
+// climbing reads a small integer instead of comparing operator strings
+// at every level.
 type binOp uint8
 
-const (
-	opNone binOp = iota
-	opOrOr
-	opAndAnd
-	opOr
-	opXor
-	opAnd
-	opEq
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-	opShl
-	opShr
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opRem
-	numBinOps
-)
-
-// binOps maps each binary operator's spelling to its id and its
-// precedence, from 1 (lowest, "||") to 10 (highest, "*" "/" "%").
-var binOps = map[string]struct {
-	op   binOp
-	prec int8
-}{
-	"||": {opOrOr, 1},
-	"&&": {opAndAnd, 2},
-	"|":  {opOr, 3},
-	"^":  {opXor, 4},
-	"&":  {opAnd, 5},
-	"==": {opEq, 6}, "!=": {opNe, 6},
-	"<": {opLt, 7}, "<=": {opLe, 7}, ">": {opGt, 7}, ">=": {opGe, 7},
-	"<<": {opShl, 8}, ">>": {opShr, 8},
-	"+": {opAdd, 9}, "-": {opSub, 9},
-	"*": {opMul, 10}, "/": {opDiv, 10}, "%": {opRem, 10},
+// binOpPrec gives each binary operator its precedence, from 1 (lowest)
+// to 10 (highest).
+var binOpPrec = map[string]int8{
+	"||": 1,
+	"&&": 2,
+	"|":  3,
+	"^":  4,
+	"&":  5,
+	"==": 6, "!=": 6,
+	"<": 7, "<=": 7, ">": 7, ">=": 7,
+	"<<": 8, ">>": 8,
+	"+": 9, "-": 9,
+	"*": 10, "/": 10, "%": 10,
 }
 
 // punct is one punctuator spelling with its binary-operator id.
@@ -129,15 +104,15 @@ type punct struct {
 // Byte-indexed lexer tables, built once from the predicates and lists
 // above. Identifier and number classes keep unicode's answers for every
 // byte value, so Latin-1 letter bytes (0xaa, 0xc0, ...) still start and
-// continue identifiers as they always have. punctsByFirst buckets the
-// punctuators by their first byte in puncts' longest-first order;
-// binPrec is indexed by binOp, with opNone at precedence 0.
+// continue identifiers. punctsByFirst buckets the punctuators by their
+// first byte in puncts' longest-first order. binPrec is indexed by
+// binOp; entry 0, no operator, has precedence 0.
 var (
 	identStart    [256]bool
 	digitStart    [256]bool
 	identCont     [256]bool
 	punctsByFirst [256][]punct
-	binPrec       [numBinOps]int8
+	binPrec       = []int8{0}
 )
 
 func init() {
@@ -147,9 +122,12 @@ func init() {
 		identCont[c] = c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == 'x' || c == 'X'
 	}
 	for _, p := range puncts {
-		b := binOps[p]
-		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], punct{text: p, op: b.op})
-		binPrec[b.op] = b.prec
+		var op binOp
+		if prec, ok := binOpPrec[p]; ok {
+			op = binOp(len(binPrec))
+			binPrec = append(binPrec, prec)
+		}
+		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], punct{text: p, op: op})
 	}
 }
 
