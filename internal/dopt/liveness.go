@@ -2,21 +2,15 @@ package dopt
 
 import "binpart/internal/ir"
 
-// locSet is a dense bitset over a function's location space. The
-// liveness analyses run to a fixpoint over every block several times per
-// Cleanup, so the sets use flat words instead of maps: one backing array
-// per analysis call, no per-iteration allocation.
+// locSet is a dense bitset over a function's location space. Liveness
+// runs to a fixpoint over every block several times per Cleanup, so the
+// sets use flat words instead of maps, carved from a liveness workspace's
+// one backing array.
 type locSet []uint64
 
 func (s locSet) has(l ir.Loc) bool { return s[l>>6]&(1<<(uint(l)&63)) != 0 }
 func (s locSet) set(l ir.Loc)      { s[l>>6] |= 1 << (uint(l) & 63) }
 func (s locSet) clear(l ir.Loc)    { s[l>>6] &^= 1 << (uint(l) & 63) }
-
-func (s locSet) reset() {
-	for i := range s {
-		s[i] = 0
-	}
-}
 
 // or unions t into s and reports whether s gained any location.
 func (s locSet) or(t locSet) bool {
@@ -33,11 +27,10 @@ func (s locSet) or(t locSet) bool {
 // liveness is a reusable workspace for ABI-aware block liveness. One
 // backing array holds, per block, the gen (upward-exposed uses) and kill
 // (definitions and call clobbers) summaries and the live-in and live-out
-// sets, plus one scratch set. A pass pipeline keeps one workspace per
-// function, so Cleanup's rounds of FoldMoves and DeadCode reuse its memory
-// instead of allocating fresh sets per call. Every solve clears the sets
-// it hands out, and a function whose locations outgrow the sets resizes
-// the workspace before any bit is read.
+// sets, plus one scratch set. OptimizeWith keeps one workspace per
+// function, so Cleanup's rounds reuse its memory. Every solve clears the
+// sets it hands out, and a function whose locations outgrow the sets
+// resizes the workspace before any bit is read.
 type liveness struct {
 	words   int // uint64 words per set
 	backing []uint64

@@ -268,7 +268,7 @@ func abiLivenessRef(f *ir.Func) (liveIn, liveOut []locSet) {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			b := f.Blocks[i]
-			live.reset()
+			clear(live)
 			for _, s := range b.Succs {
 				live.or(liveIn[s.Index])
 			}
@@ -374,12 +374,34 @@ func sameLiveness(lv *liveness, f *ir.Func) string {
 	return sameSets("live-out", out, rout)
 }
 
+// sweepMatches runs foldThenSweep on cur in lv, and FoldMoves then
+// deadCodeRef on ref, and returns cur's fold and removal count with the
+// first difference, or "": in the liveness solution the pair read,
+// against the reference fixpoint of the code it started from; in the
+// IR; or in the counts. lv is not solved beforehand, so a solution left
+// over from an earlier round would show.
+func sweepMatches(lv *liveness, cur, ref *ir.Func) (int, string) {
+	rin, rout := abiLivenessRef(cloneIR(cur))
+	fc, dc := foldThenSweep(cur, lv)
+	if d := sameSets("live-in", lv.liveIn, rin); d != "" {
+		return 0, d
+	}
+	if d := sameSets("live-out", lv.liveOut, rout); d != "" {
+		return 0, d
+	}
+	fr, dr := FoldMoves(ref), deadCodeRef(ref)
+	if where := sameIR(cur, ref); where != "" || fc != fr || dc != dr {
+		return 0, fmt.Sprintf("FoldMoves+DeadCode differ (%s; counts %d+%d vs %d+%d)", where, fc, dc, fr, dr)
+	}
+	return fc + dc, ""
+}
+
 // TestLivenessMatchesReference runs OptimizeWith's pass order on two
 // copies of every recovered function in lockstep: one with a single
 // liveness workspace for the whole pipeline, as OptimizeWith keeps it, and
-// one through FoldMoves and deadCodeRef. Before every FoldMoves/DeadCode
+// one through FoldMoves and deadCodeRef. At every FoldMoves/DeadCode
 // pair the workspace's live-in and live-out must equal the reference
-// fixpoint's, and after it both copies' IR and counts must agree.
+// fixpoint's, and both copies' IR and counts must agree (sweepMatches).
 // Stack-slot promotion grows the location space mid-pipeline, so the
 // workspace's resize path runs on real code. The suite at -O0..-O3 and
 // fixed-seed generated programs of every shape feed it.
@@ -409,16 +431,12 @@ func TestLivenessMatchesReference(t *testing.T) {
 				}
 			}
 			sweep := func() int {
-				if d := sameLiveness(lv, c); d != "" {
-					fail("before FoldMoves: %s", d)
-				}
 				solves++
-				fc, dc := foldThenSweep(c, lv)
-				fr, dr := FoldMoves(r), deadCodeRef(r)
-				if where := sameIR(c, r); where != "" || fc != fr || dc != dr {
-					fail("FoldMoves+DeadCode differ (%s; counts %d+%d vs %d+%d)", where, fc, dc, fr, dr)
+				n, d := sweepMatches(lv, c, r)
+				if d != "" {
+					fail("%s", d)
 				}
-				return fc + dc
+				return n
 			}
 			both := func(pass func(*ir.Func) int) int {
 				n := pass(c)
@@ -488,14 +506,8 @@ func TestLivenessRandomIR(t *testing.T) {
 		addRandomEdges(r, f)
 		cur, ref := cloneIR(f), cloneIR(f)
 		for round := 0; round < 3; round++ {
-			if d := sameLiveness(lv, cur); d != "" {
+			if _, d := sweepMatches(lv, cur, ref); d != "" {
 				t.Fatalf("function %d, round %d: %s\ninput:\n%s", n, round, d, f)
-			}
-			fc, dc := foldThenSweep(cur, lv)
-			fr, dr := FoldMoves(ref), deadCodeRef(ref)
-			if where := sameIR(cur, ref); where != "" || fc != fr || dc != dr {
-				t.Fatalf("function %d, round %d: FoldMoves+DeadCode differ (%s; counts %d+%d vs %d+%d)\ninput:\n%s",
-					n, round, where, fc, dc, fr, dr, f)
 			}
 			ConstProp(cur)
 			ConstProp(ref)

@@ -1,7 +1,6 @@
 package mcc_test
 
 import (
-	"fmt"
 	"testing"
 
 	"binpart/internal/bench"
@@ -46,18 +45,31 @@ func FuzzLexDifferential(f *testing.F) {
 
 // TestLexCorpusMatchesReference runs the lexer differential over the
 // corpus, and over each source with a Latin-1 letter, a non-letter high
-// byte and a stray punctuator spliced in, and checks that no corpus
-// source outgrows the token capacity lex reserves.
+// byte and a stray punctuator spliced in.
 func TestLexCorpusMatchesReference(t *testing.T) {
 	for i, src := range lexCorpus() {
-		if !mcc.LexCapacityHeld(src) {
-			t.Errorf("source %d (%d bytes) regrows the token slice", i, len(src))
-		}
 		mid := len(src) / 2
 		for _, s := range []string{src, src[:mid] + "\xe9" + src[mid:], src[:mid] + "\x80" + src[mid:], src[:mid] + "<<=" + src[mid:]} {
 			if d := mcc.LexDiff(s); d != "" {
-				t.Fatalf("%s: %s", fmt.Sprintf("source %d", i), d)
+				t.Fatalf("source %d: %s", i, d)
 			}
+		}
+	}
+}
+
+// TestLexCapacityHeld checks that no suite kernel and none of 250
+// generated programs per shape outgrows the token capacity lex reserves,
+// so the token slice never regrows on them.
+func TestLexCapacityHeld(t *testing.T) {
+	srcs := lexCorpus()
+	for _, sh := range progen.Shapes() {
+		for seed := int64(100); seed < 350; seed++ {
+			srcs = append(srcs, progen.Generate(seed, sh.Cfg).Source)
+		}
+	}
+	for i, src := range srcs {
+		if !mcc.LexCapacityHeld(src) {
+			t.Errorf("source %d (%d bytes) regrows the token slice", i, len(src))
 		}
 	}
 }

@@ -104,7 +104,9 @@ type punct struct {
 // Byte-indexed lexer tables, built once from the predicates and lists
 // above. Identifier and number classes keep unicode's answers for every
 // byte value, so Latin-1 letter bytes (0xaa, 0xc0, ...) still start and
-// continue identifiers. punctsByFirst buckets the punctuators by their
+// continue identifiers. identCont holds every identStart byte, so an
+// identifier always consumes its first byte. punctsByFirst buckets the
+// punctuators by their
 // first byte in puncts' longest-first order. binPrec is indexed by
 // binOp; entry 0, no operator, has precedence 0.
 var (
